@@ -97,8 +97,8 @@ Anuc::Anuc(Pid self, Value proposal, Pid n, AnucOptions options)
   assert(proposal != kQuestion);
 }
 
-ProcessSet Anuc::get_quorum(const FdValue& d) {
-  const ProcessSet q = d.quorum();
+const ProcessSet& Anuc::get_quorum(const FdValue& d) {
+  const ProcessSet& q = d.quorum();
   history_.insert(self_, q);  // Fig. 5 line 49
   return q;
 }
@@ -216,7 +216,7 @@ void Anuc::advance(const FdValue& d, std::vector<Outgoing>& out) {
 
     if (phase_ == Phase::kAwaitReports) {
       // Fig. 4 lines 20-24.
-      const ProcessSet q = get_quorum(d);
+      const ProcessSet& q = get_quorum(d);
       bool complete = !q.empty();
       for (Pid member : q) complete = complete && msgs.rep[member].has_value();
       if (!complete) return;
@@ -238,7 +238,7 @@ void Anuc::advance(const FdValue& d, std::vector<Outgoing>& out) {
     // Phase::kAwaitProposals — Fig. 4 lines 25-33. Each pass is one
     // iteration of the outer repeat: re-read the quorum, require all its
     // proposals, import their histories, and re-check distrust.
-    const ProcessSet q = get_quorum(d);
+    const ProcessSet& q = get_quorum(d);
     bool complete = !q.empty();
     for (Pid member : q) complete = complete && msgs.prop[member].has_value();
     if (!complete) return;

@@ -4,42 +4,40 @@
 
 #include <algorithm>
 
-#include "fd/oracle_base.hpp"
-
 namespace nucon {
 
 SigmaOracle::SigmaOracle(const FailurePattern& fp, SigmaOptions opts)
-    : fp_(fp), opts_(opts) {
-  const ProcessSet correct = fp_.correct();
-  kernel_ = correct.empty() ? 0 : correct.min();
+    : fp_(fp),
+      opts_(opts),
+      all_(ProcessSet::full(fp.n())),
+      correct_(fp.correct()),
+      memo_(fp.n(), 1) {
+  kernel_ = correct_.empty() ? 0 : correct_.min();
   if (opts_.strategy == SigmaStrategy::kMajority) {
     // Majority quorums can satisfy completeness only if a majority is
     // correct; the constructor enforces the precondition loudly.
-    assert(is_majority(correct, fp_.n()));
+    assert(is_majority(correct_, fp_.n()));
   }
 }
 
 FdValue SigmaOracle::value(Pid p, Time t) {
-  const ProcessSet all = ProcessSet::full(fp_.n());
-  const ProcessSet correct = fp_.correct();
   const bool stable = t >= opts_.stabilize_at;
-  const std::uint64_t mix =
-      oracle_mix(opts_.seed, p, t / std::max<Time>(1, opts_.hold), stable);
-
-  switch (opts_.strategy) {
-    case SigmaStrategy::kKernel: {
-      const ProcessSet universe = stable ? correct : all;
-      return FdValue::of_quorum(
-          noisy_superset(ProcessSet::single(kernel_), universe, mix));
+  const Time window = t / std::max<Time>(1, opts_.hold);
+  const std::uint64_t mix = oracle_mix(opts_.seed, p, window, stable);
+  // One shape per oracle: the strategy is fixed at construction.
+  return FdValue::of_quorum(memo_.get(p, window, stable, 0, [&] {
+    const ProcessSet& universe = stable ? correct_ : all_;
+    switch (opts_.strategy) {
+      case SigmaStrategy::kKernel:
+        return noisy_superset(ProcessSet::single(kernel_), universe, mix);
+      case SigmaStrategy::kMajority: {
+        const int quorum_size = fp_.n() / 2 + 1;
+        Rng rng(mix);
+        return rng.pick_subset(universe, quorum_size);
+      }
     }
-    case SigmaStrategy::kMajority: {
-      const ProcessSet universe = stable ? correct : all;
-      const int quorum_size = fp_.n() / 2 + 1;
-      Rng rng(mix);
-      return FdValue::of_quorum(rng.pick_subset(universe, quorum_size));
-    }
-  }
-  __builtin_unreachable();
+    __builtin_unreachable();
+  }));
 }
 
 }  // namespace nucon

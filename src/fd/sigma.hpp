@@ -14,6 +14,7 @@
 #pragma once
 
 #include "fd/failure_detector.hpp"
+#include "fd/oracle_base.hpp"
 
 namespace nucon {
 
@@ -36,10 +37,16 @@ class SigmaOracle final : public Oracle {
 
   [[nodiscard]] FdValue value(Pid p, Time t) override;
 
+  /// Quorums drawn so far; every other query replayed a held one.
+  [[nodiscard]] std::uint64_t quorum_draws() const { return memo_.draws(); }
+
  private:
   const FailurePattern& fp_;
   SigmaOptions opts_;
+  ProcessSet all_;
+  ProcessSet correct_;
   Pid kernel_ = 0;
+  QuorumMemo memo_;
 };
 
 }  // namespace nucon

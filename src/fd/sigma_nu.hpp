@@ -10,6 +10,7 @@
 #pragma once
 
 #include "fd/failure_detector.hpp"
+#include "fd/oracle_base.hpp"
 
 namespace nucon {
 
@@ -37,10 +38,17 @@ class SigmaNuOracle final : public Oracle {
 
   [[nodiscard]] FdValue value(Pid p, Time t) override;
 
+  /// Quorums drawn so far; every other query replayed a held one.
+  [[nodiscard]] std::uint64_t quorum_draws() const { return memo_.draws(); }
+
  private:
   const FailurePattern& fp_;
   SigmaNuOptions opts_;
+  ProcessSet all_;
+  ProcessSet correct_;
+  ProcessSet faulty_;
   Pid kernel_ = 0;
+  QuorumMemo memo_;
 };
 
 /// Sigma^nu+ (paper §6.1): Sigma^nu plus self-inclusion (every process is
@@ -62,10 +70,17 @@ class SigmaNuPlusOracle final : public Oracle {
 
   [[nodiscard]] FdValue value(Pid p, Time t) override;
 
+  /// Quorums drawn so far; every other query replayed a held one.
+  [[nodiscard]] std::uint64_t quorum_draws() const { return memo_.draws(); }
+
  private:
   const FailurePattern& fp_;
   SigmaNuPlusOptions opts_;
+  ProcessSet all_;
+  ProcessSet correct_;
+  ProcessSet faulty_;
   Pid kernel_ = 0;
+  QuorumMemo memo_;
 };
 
 }  // namespace nucon

@@ -12,6 +12,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "util/bytes.hpp"
 #include "util/process_set.hpp"
@@ -30,25 +31,24 @@ class FdValue {
 
   [[nodiscard]] static constexpr FdValue of_quorum(ProcessSet q) {
     FdValue v;
-    v.set_quorum(q);
+    v.set_quorum(std::move(q));
     return v;
   }
 
   [[nodiscard]] static constexpr FdValue of_suspects(ProcessSet s) {
     FdValue v;
-    v.set_suspects(s);
+    v.set_suspects(std::move(s));
     return v;
   }
 
   /// Product detector (D, D'): the union of the components of both values.
-  /// Each component may be supplied by at most one side.
-  [[nodiscard]] static constexpr FdValue combine(const FdValue& a,
-                                                 const FdValue& b) {
-    FdValue v = a;
-    if (b.has_leader()) v.set_leader(b.leader());
-    if (b.has_quorum()) v.set_quorum(b.quorum());
-    if (b.has_suspects()) v.set_suspects(b.suspects());
-    return v;
+  /// Each component may be supplied by at most one side. Takes both by
+  /// value so temporaries hand over their sets without a copy.
+  [[nodiscard]] static constexpr FdValue combine(FdValue a, FdValue b) {
+    if (b.has_leader()) a.set_leader(b.leader_);
+    if (b.has_quorum()) a.set_quorum(std::move(b.quorum_));
+    if (b.has_suspects()) a.set_suspects(std::move(b.suspects_));
+    return a;
   }
 
   constexpr void set_leader(Pid p) {
@@ -57,11 +57,11 @@ class FdValue {
   }
   constexpr void set_quorum(ProcessSet q) {
     flags_ |= kHasQuorum;
-    quorum_ = q;
+    quorum_ = std::move(q);
   }
   constexpr void set_suspects(ProcessSet s) {
     flags_ |= kHasSuspects;
-    suspects_ = s;
+    suspects_ = std::move(s);
   }
 
   [[nodiscard]] constexpr bool has_leader() const { return flags_ & kHasLeader; }
@@ -69,15 +69,17 @@ class FdValue {
   [[nodiscard]] constexpr bool has_suspects() const { return flags_ & kHasSuspects; }
 
   /// Accessors require the component to be present (checked by assert).
+  /// The set accessors return references into this value: bind the value,
+  /// not the set, when the value is a temporary.
   [[nodiscard]] constexpr Pid leader() const {
     assert(has_leader());
     return leader_;
   }
-  [[nodiscard]] constexpr ProcessSet quorum() const {
+  [[nodiscard]] constexpr const ProcessSet& quorum() const {
     assert(has_quorum());
     return quorum_;
   }
-  [[nodiscard]] constexpr ProcessSet suspects() const {
+  [[nodiscard]] constexpr const ProcessSet& suspects() const {
     assert(has_suspects());
     return suspects_;
   }

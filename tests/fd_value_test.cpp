@@ -41,6 +41,26 @@ TEST(FdValue, CombineDisjointComponents) {
   EXPECT_FALSE(pair.has_suspects());
 }
 
+TEST(FdValue, CombineCarriesWideSetsAndLeavesNamedOperandsIntact) {
+  // Past 64 processes the sets live on the heap; combine moves them out of
+  // temporaries but must copy from named operands.
+  ProcessSet wide = ProcessSet::full(200);
+  wide.erase(70);
+  const FdValue leader = FdValue::of_leader(130);
+  const FdValue quorum = FdValue::of_quorum(wide);
+  FdValue suspects;
+  suspects.set_suspects(ProcessSet{3, 150});
+  const FdValue v =
+      FdValue::combine(FdValue::combine(leader, quorum), suspects);
+  EXPECT_EQ(v.leader(), 130);
+  EXPECT_EQ(v.quorum(), wide);
+  EXPECT_EQ(v.suspects(), (ProcessSet{3, 150}));
+  EXPECT_EQ(quorum.quorum(), wide);
+  EXPECT_EQ(suspects.suspects(), (ProcessSet{3, 150}));
+  EXPECT_EQ(FdValue::combine(FdValue{}, FdValue::of_quorum(wide)).quorum(),
+            wide);
+}
+
 TEST(FdValue, CombineRightOverridesLeft) {
   const FdValue v = FdValue::combine(FdValue::of_leader(1), FdValue::of_leader(2));
   EXPECT_EQ(v.leader(), 2);

@@ -209,7 +209,8 @@ TEST_P(OracleSweep, NoQuorumOracleEverEmitsAnEmptyQuorum) {
     nu.seed = GetParam().seed;
     nu.faulty = behavior;
     SigmaNuOracle nu_oracle(fp, nu);
-    for (const Sample& s : sample_all(fp, nu_oracle).samples()) {
+    const RecordedHistory nu_history = sample_all(fp, nu_oracle);
+    for (const Sample& s : nu_history.samples()) {
       EXPECT_FALSE(s.value.quorum().empty())
           << "Sigma^nu mode " << static_cast<int>(behavior) << " at p=" << s.p
           << " t=" << s.t;
@@ -220,7 +221,8 @@ TEST_P(OracleSweep, NoQuorumOracleEverEmitsAnEmptyQuorum) {
     plus.seed = GetParam().seed;
     plus.faulty = behavior;
     SigmaNuPlusOracle plus_oracle(fp, plus);
-    for (const Sample& s : sample_all(fp, plus_oracle).samples()) {
+    const RecordedHistory plus_history = sample_all(fp, plus_oracle);
+    for (const Sample& s : plus_history.samples()) {
       EXPECT_FALSE(s.value.quorum().empty())
           << "Sigma^nu+ mode " << static_cast<int>(behavior) << " at p=" << s.p
           << " t=" << s.t;
@@ -236,21 +238,34 @@ TEST_P(OracleSweep, NoQuorumOracleEverEmitsAnEmptyQuorum) {
     so.seed = GetParam().seed;
     so.strategy = strategy;
     SigmaOracle oracle(fp, so);
-    for (const Sample& s : sample_all(fp, oracle).samples()) {
+    const RecordedHistory history = sample_all(fp, oracle);
+    for (const Sample& s : history.samples()) {
       EXPECT_FALSE(s.value.quorum().empty()) << "Sigma at p=" << s.p;
     }
   }
 }
 
 TEST_P(OracleSweep, OracleIsAProperFunctionOfPAndT) {
+  // A long-lived oracle that has already answered a full run must give, at
+  // every (p, t), what a fresh oracle asked only that (p, t) gives: the
+  // history may not depend on the order or number of earlier queries.
   const FailurePattern fp = pattern();
-  SigmaNuPlusOptions opts;
-  opts.stabilize_at = kStabilize;
-  opts.seed = GetParam().seed;
-  SigmaNuPlusOracle oracle(fp, opts);
-  for (Time t = 1; t < 50; t += 7) {
-    for (Pid p = 0; p < fp.n(); ++p) {
-      EXPECT_EQ(oracle.value(p, t), oracle.value(p, t));
+  for (const auto behavior :
+       {FaultyQuorumBehavior::kBenign, FaultyQuorumBehavior::kNoise,
+        FaultyQuorumBehavior::kAdversarialDisjoint}) {
+    SigmaNuPlusOptions opts;
+    opts.stabilize_at = kStabilize;
+    opts.seed = GetParam().seed;
+    opts.faulty = behavior;
+    SigmaNuPlusOracle oracle(fp, opts);
+    (void)sample_all(fp, oracle);
+    for (Time t = 49; t >= 1; t -= 7) {
+      for (Pid p = 0; p < fp.n(); ++p) {
+        SigmaNuPlusOracle fresh(fp, opts);
+        EXPECT_EQ(oracle.value(p, t), fresh.value(p, t))
+            << "mode " << static_cast<int>(behavior) << " p=" << p
+            << " t=" << t;
+      }
     }
   }
 }
