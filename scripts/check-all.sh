@@ -10,8 +10,9 @@
 #
 # (the mc label covers the model checker's parallel-frontier determinism
 # suite, fuzz covers the schedule fuzzer's engine/minimizer/corpus
-# suites, fdqos covers the timing-aware scheduler mode plus the
-# heartbeat-implemented detectors, prof covers the hot-path profiling
+# suites, fdqos covers the timing-aware scheduler mode, the
+# heartbeat-implemented detectors and the generated-oracle suites
+# (FdValue, oracle properties, the quorum-draw memo), prof covers the hot-path profiling
 # probes and the trend/regression engine, and scale covers the wide
 # ProcessSet boundaries plus the incremental QuorumHistory equivalence
 # oracle — all worth re-running under the sanitizers, the scale suite
