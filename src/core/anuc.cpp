@@ -40,29 +40,28 @@ class LeadPropMemo {
       scratch_ = parse_fresh(payload);
       return scratch_;
     }
+    // A front buffer that only the memo still holds has been delivered to
+    // every receiver (or its run is over), so its entry can never hit
+    // again: drop it, along with the decoded history it pins.
+    while (!fifo_.empty() && fifo_.front().use_count() == 1) evict_front();
     const Bytes* key = shared->raw();
     const auto it = entries_.find(key);
-    if (it != entries_.end()) return it->second.parsed;
-    if (fifo_.size() >= kCapacity) {
-      entries_.erase(fifo_.front());
-      fifo_.pop_front();
-    }
-    Entry e;
-    e.keepalive = shared->ref();
-    e.parsed = parse_fresh(payload);
-    fifo_.push_back(key);
-    return entries_.emplace(key, std::move(e)).first->second.parsed;
+    if (it != entries_.end()) return it->second;
+    if (fifo_.size() >= kCapacity) evict_front();
+    fifo_.push_back(shared->ref());
+    return entries_.emplace(key, parse_fresh(payload)).first->second;
   }
 
+  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+
  private:
-  /// Bounds memory: entries only matter while a broadcast's shares are
-  /// still being delivered, a window of a couple of algorithm rounds.
+  /// Bounds memory while many broadcasts are in flight at once.
   static constexpr std::size_t kCapacity = 4096;
 
-  struct Entry {
-    std::shared_ptr<const Bytes> keepalive;
-    ParsedLeadProp parsed;
-  };
+  void evict_front() {
+    entries_.erase(fifo_.front().get());
+    fifo_.pop_front();
+  }
 
   static ParsedLeadProp parse_fresh(const Bytes& payload) {
     ByteReader r(payload);
@@ -79,8 +78,9 @@ class LeadPropMemo {
     return p;
   }
 
-  std::unordered_map<const Bytes*, Entry> entries_;
-  std::deque<const Bytes*> fifo_;
+  std::unordered_map<const Bytes*, ParsedLeadProp> entries_;
+  /// Keepalives of the entries' buffers, oldest first.
+  std::deque<std::shared_ptr<const Bytes>> fifo_;
   ParsedLeadProp scratch_;
 };
 
@@ -90,6 +90,8 @@ LeadPropMemo& lead_prop_memo() {
 }
 
 }  // namespace
+
+std::size_t Anuc::decode_memo_size() { return lead_prop_memo().size(); }
 
 Anuc::Anuc(Pid self, Value proposal, Pid n, AnucOptions options)
     : self_(self), n_(n), options_(options), x_(proposal), history_(n) {

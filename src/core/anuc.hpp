@@ -64,6 +64,8 @@ class Anuc final : public ConsensusAutomaton {
   [[nodiscard]] const QuorumHistory& history() const { return history_; }
   [[nodiscard]] std::int64_t distrust_calls() const { return distrust_calls_; }
   [[nodiscard]] std::int64_t distrust_hits() const { return distrust_hits_; }
+  /// Entries held by this thread's LEAD/PROP decode memo (anuc.cpp).
+  [[nodiscard]] static std::size_t decode_memo_size();
 
  private:
   enum class Phase { kAwaitLead, kAwaitReports, kAwaitProposals };

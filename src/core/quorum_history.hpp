@@ -48,15 +48,20 @@ class QuorumHistory {
 
   [[nodiscard]] Pid n() const { return n_; }
 
-  /// H[q] <- H[q] u {quorum}.
+  /// H[q] <- H[q] u {quorum}. The quorum must lie within 0..n-1.
   void insert(Pid q, const ProcessSet& quorum);
 
   /// import_history (Fig. 5 lines 44-46): pointwise union.
   void import(const QuorumHistory& other);
 
-  /// The known quorums of q.
-  [[nodiscard]] const std::vector<ProcessSet>& of(Pid q) const {
-    return sets_[static_cast<std::size_t>(q)];
+  /// The known quorums of q, materialized in increasing ProcessSet order.
+  /// A copy: tests and the *_slow references read it, the hot paths never.
+  [[nodiscard]] std::vector<ProcessSet> of(Pid q) const;
+
+  /// |H[q]|.
+  [[nodiscard]] std::size_t count(Pid q) const {
+    return start_[static_cast<std::size_t>(q) + 1] -
+           start_[static_cast<std::size_t>(q)];
   }
 
   [[nodiscard]] bool knows(Pid q, const ProcessSet& quorum) const;
@@ -75,7 +80,7 @@ class QuorumHistory {
   [[nodiscard]] bool distrusts_slow(Pid self, Pid q) const;
 
   /// Total number of (process, quorum) entries.
-  [[nodiscard]] std::size_t size() const;
+  [[nodiscard]] std::size_t size() const { return start_.back(); }
 
   void encode(ByteWriter& w) const;
   [[nodiscard]] static std::optional<QuorumHistory> decode(ByteReader& r);
@@ -98,7 +103,7 @@ class QuorumHistory {
     /// quorum value -> entry id.
     std::map<ProcessSet, std::uint32_t> index;
     /// Per process: owned entry ids, sorted by quorum value (mirrors the
-    /// order of sets_[q]).
+    /// order of q's rows).
     std::vector<std::vector<std::uint32_t>> owned;
     /// Per process p: F_p, the union of disjoint_owners over p's owned
     /// entries, maintained eagerly as ownerships fold in. Makes
@@ -107,25 +112,35 @@ class QuorumHistory {
     /// "some owned entry has a disjoint owner outside F_self" collapses to
     /// "F_q is not a subset of F_self".
     std::vector<ProcessSet> faulty;
-    /// Per process: how many quorums of sets_[q] are folded into the cache.
-    std::vector<std::size_t> synced;
     /// Value of generation_ the cache was last synced at.
     std::uint64_t generation = 0;
   };
 
-  /// Brings the cache up to date with sets_ and returns it. For processes
-  /// whose quorum count is unchanged this skips immediately; otherwise it
-  /// merges the sorted quorum list against the sorted owned-entry list and
-  /// interns only the new values (Observation 6.10: nothing is ever
-  /// removed, so folded quorums are always still present).
+  /// Brings the cache up to date with the rows and returns it. For
+  /// processes whose quorum count is unchanged this skips immediately;
+  /// otherwise it merges the sorted rows against the sorted owned-entry
+  /// list and interns only the new values (Observation 6.10: nothing is
+  /// ever removed, so folded quorums are always still present).
   Cache& cache() const;
 
   std::uint32_t intern(Cache& c, const ProcessSet& quorum) const;
 
+  [[nodiscard]] const std::uint64_t* row(std::size_t i) const {
+    return words_.data() + i * w_;
+  }
+  [[nodiscard]] ProcessSet row_set(std::size_t i) const;
+
   Pid n_;
-  /// sets_[q] = known quorums of q, kept sorted and deduplicated.
-  std::vector<std::vector<ProcessSet>> sets_;
-  /// Bumped on every successful insert; cheap cache-freshness check.
+  /// Words per quorum, ceil(n / 64).
+  std::size_t w_;
+  /// Row r is words_[r*w_ .. r*w_ + w_), lowest word first (the wire
+  /// order). Process q's known quorums are rows start_[q] .. start_[q+1]-1,
+  /// sorted increasing in ProcessSet order and deduplicated, so encode is
+  /// a straight copy of the words and equal histories compare with one
+  /// whole-array test.
+  std::vector<std::uint32_t> start_;
+  std::vector<std::uint64_t> words_;
+  /// Bumped on every change to the rows; cheap cache-freshness check.
   std::uint64_t generation_ = 0;
   mutable std::unique_ptr<Cache> cache_;
 };

@@ -9,6 +9,7 @@
 
 #include "algo/naive_sigma_nu.hpp"
 #include "consensus_test_util.hpp"
+#include "exp/sweep.hpp"
 
 namespace nucon {
 namespace {
@@ -206,6 +207,37 @@ TEST(Anuc, HistoriesGrowButStayBounded) {
     EXPECT_LE(a->history().size(), 4u * 16u);
     EXPECT_GT(a->distrust_calls(), 0);
   }
+}
+
+TEST(Anuc, DecodeMemoKeepsOnlyLiveBroadcasts) {
+  // A_nuc at n=128 post-GST (the anuc-wide regime) fills this thread's
+  // decode memo with thousands of LEAD/PROP parses, each pinning a payload
+  // and its decoded history. None of those buffers outlives the run, so a
+  // following small run must evict them all and hold only its own.
+  exp::SweepPoint wide;
+  wide.n = 128;
+  wide.max_steps = 40LL * wide.n * wide.n;
+  wide.hold = wide.max_steps;
+  ASSERT_TRUE(exp::run_point(wide).verdict.solves_nonuniform());
+  const std::size_t after_wide = Anuc::decode_memo_size();
+
+  const FailurePattern fp(4);
+  auto oracle = testutil::omega_sigma_nu_plus(fp, 0, 23);
+  SchedulerOptions opts;
+  opts.seed = 23;
+  opts.max_steps = 30'000;
+  SimResult sim = simulate_consensus(fp, oracle.top(), make_anuc(4),
+                                     {0, 0, 1, 1}, opts);
+  // Each round, each process broadcasts one LEAD and one PROP.
+  std::size_t small_broadcasts = 0;
+  for (const auto& automaton : sim.automata) {
+    const auto* a = dynamic_cast<const Anuc*>(automaton.get());
+    ASSERT_NE(a, nullptr);
+    small_broadcasts += 2 * static_cast<std::size_t>(a->round());
+  }
+  EXPECT_GT(after_wide, small_broadcasts);
+  EXPECT_GT(Anuc::decode_memo_size(), 0u);
+  EXPECT_LE(Anuc::decode_memo_size(), small_broadcasts);
 }
 
 }  // namespace
