@@ -89,6 +89,20 @@ LeadPropMemo& lead_prop_memo() {
   return memo;
 }
 
+/// "Received from all q in Q": Q nonempty and within the senders whose
+/// slot is filled. Debug builds check it against the walk over Q.
+template <class Slot>
+bool received_from_all(const ProcessSet& q, const ProcessSet& from,
+                       [[maybe_unused]] const std::vector<Slot>& slots) {
+  const bool complete = !q.empty() && q.is_subset_of(from);
+#ifndef NDEBUG
+  bool walk = !q.empty();
+  for (Pid member : q) walk = walk && slots[member].has_value();
+  assert(complete == walk);
+#endif
+  return complete;
+}
+
 }  // namespace
 
 std::size_t Anuc::decode_memo_size() { return lead_prop_memo().size(); }
@@ -101,7 +115,10 @@ Anuc::Anuc(Pid self, Value proposal, Pid n, AnucOptions options)
 
 const ProcessSet& Anuc::get_quorum(const FdValue& d) {
   const ProcessSet& q = d.quorum();
-  history_.insert(self_, q);  // Fig. 5 line 49
+  if (!last_quorum_ || *last_quorum_ != q) {
+    history_.insert(self_, q);  // Fig. 5 line 49
+    last_quorum_ = q;
+  }
   return q;
 }
 
@@ -147,8 +164,12 @@ void Anuc::on_message(Pid from, const Bytes& payload,
       if (!p.h || p.h->n() != n_) return;
       RoundMsgs& msgs = inbox_[static_cast<int>(p.round)];
       msgs.ensure(n_);
-      auto& slot = (*tag == kTagLead) ? msgs.lead[from] : msgs.prop[from];
-      slot = HistoryMsg{p.v, p.h};
+      if (*tag == kTagLead) {
+        msgs.lead[from] = HistoryMsg{p.v, p.h};
+      } else {
+        msgs.prop[from] = HistoryMsg{p.v, p.h};
+        msgs.prop_from.insert(from);
+      }
       break;
     }
     case kTagRep: {
@@ -158,6 +179,7 @@ void Anuc::on_message(Pid from, const Bytes& payload,
       RoundMsgs& msgs = inbox_[static_cast<int>(*round)];
       msgs.ensure(n_);
       msgs.rep[from] = *v;
+      msgs.rep_from.insert(from);
       break;
     }
     case kTagSaw: {
@@ -219,9 +241,7 @@ void Anuc::advance(const FdValue& d, std::vector<Outgoing>& out) {
     if (phase_ == Phase::kAwaitReports) {
       // Fig. 4 lines 20-24.
       const ProcessSet& q = get_quorum(d);
-      bool complete = !q.empty();
-      for (Pid member : q) complete = complete && msgs.rep[member].has_value();
-      if (!complete) return;
+      if (!received_from_all(q, msgs.rep_from, msgs.rep)) return;
 
       bool unanimous = true;
       const Value first = *msgs.rep[q.min()];
@@ -241,9 +261,7 @@ void Anuc::advance(const FdValue& d, std::vector<Outgoing>& out) {
     // iteration of the outer repeat: re-read the quorum, require all its
     // proposals, import their histories, and re-check distrust.
     const ProcessSet& q = get_quorum(d);
-    bool complete = !q.empty();
-    for (Pid member : q) complete = complete && msgs.prop[member].has_value();
-    if (!complete) return;
+    if (!received_from_all(q, msgs.prop_from, msgs.prop)) return;
 
     // Line 27. import is a pointwise union, so a member already folded in
     // on an earlier retry pass contributes nothing — skip the walk.
@@ -274,7 +292,7 @@ void Anuc::advance(const FdValue& d, std::vector<Outgoing>& out) {
 
     // Line 30: decide only with unanimity AND the quorum-awareness bound
     // seen[Q] < k (the latter can be ablated for the E11 experiment).
-    const SawState& state = saw_[q];
+    SawState& state = saw_[q];
     const bool aware = !options_.use_quorum_awareness ||
                        (state.seen && *state.seen < round_);
     if (all_v && seen_v && aware && !decided_) {
@@ -283,9 +301,8 @@ void Anuc::advance(const FdValue& d, std::vector<Outgoing>& out) {
     }
 
     // Lines 31-33: first use of this quorum to collect proposals.
-    SawState& mutable_state = saw_[q];
-    if (!mutable_state.sent) {
-      mutable_state.sent = true;
+    if (!state.sent) {
+      state.sent = true;
       scratch_.reset();
       scratch_.u8(kTagSaw);
       scratch_.process_set(q, n_);
@@ -404,9 +421,13 @@ bool Anuc::restore_state(ByteReader& r) {
         const auto v = r.svarint();
         if (!v) return false;
         msgs.rep[q] = *v;
+        msgs.rep_from.insert(q);
       }
     }
     if (!history_slot(msgs.prop)) return false;
+    for (Pid q = 0; q < n_; ++q) {
+      if (msgs.prop[q]) msgs.prop_from.insert(q);
+    }
   }
 
   const auto saw_count = r.uvarint();
@@ -439,6 +460,7 @@ bool Anuc::restore_state(ByteReader& r) {
   decided_ = decided;
   decided_round_ = static_cast<int>(*decided_round);
   history_ = std::move(*history);
+  last_quorum_.reset();
   inbox_ = std::move(inbox);
   saw_ = std::move(saw);
   distrust_calls_ = *calls;

@@ -91,6 +91,12 @@ class Anuc final : public ConsensusAutomaton {
     std::vector<std::optional<HistoryMsg>> lead;
     std::vector<std::optional<Value>> rep;
     std::vector<std::optional<HistoryMsg>> prop;
+    /// Senders with a filled `rep` / `prop` slot, so "received from all
+    /// q in Q" (Fig. 4 lines 20 and 26) is one subset test instead of a
+    /// walk over Q. Derived from the slots: not serialized, rebuilt by
+    /// restore_state.
+    ProcessSet rep_from;
+    ProcessSet prop_from;
     /// Members whose PROP history this round has already been folded into
     /// history_. import is idempotent (pointwise union), so skipping the
     /// re-import on every kAwaitProposals retry pass changes no state —
@@ -122,7 +128,9 @@ class Anuc final : public ConsensusAutomaton {
 
   /// get_quorum() (Fig. 5 lines 47-50): reads the Sigma^nu+ component and
   /// records it as one of this process's own quorums. The reference is
-  /// into `d`.
+  /// into `d`. The oracle repeats a quorum for a whole hold window, and
+  /// insert is idempotent on a history that only grows, so a quorum equal
+  /// to the last one inserted skips the insert.
   const ProcessSet& get_quorum(const FdValue& d);
 
   [[nodiscard]] bool distrusts(Pid q);
@@ -138,6 +146,9 @@ class Anuc final : public ConsensusAutomaton {
   int decided_round_ = 0;
 
   QuorumHistory history_;
+  /// The quorum get_quorum last inserted into history_[self_]; reset
+  /// whenever history_ is replaced.
+  std::optional<ProcessSet> last_quorum_;
   std::map<int, RoundMsgs> inbox_;
   /// ProcessSet's ordering is the numeric bitset order, so for n <= 64 this
   /// map iterates exactly like the old mask-keyed map (save_state bytes are

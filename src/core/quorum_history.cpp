@@ -311,7 +311,7 @@ bool QuorumHistory::distrusts_slow(Pid self, Pid q) const {
 void QuorumHistory::encode(ByteWriter& w) const {
   // Each row is the width-aware ByteWriter::process_set(s, n) encoding of
   // its quorum, word for word.
-  w.pid(n_);
+  w.process_count(n_);
   for (std::size_t q = 0; q < static_cast<std::size_t>(n_); ++q) {
     w.uvarint(start_[q + 1] - start_[q]);
     for (std::size_t k = start_[q] * w_; k < start_[q + 1] * w_; ++k) {
@@ -321,8 +321,8 @@ void QuorumHistory::encode(ByteWriter& w) const {
 }
 
 std::optional<QuorumHistory> QuorumHistory::decode(ByteReader& r) {
-  const auto n = r.pid();
-  if (!n || *n < 1) return std::nullopt;
+  const auto n = r.process_count();
+  if (!n) return std::nullopt;
   QuorumHistory h(*n);
   const std::size_t w = h.w_;
   // Only the top word can hold bits at or above n (ByteReader::process_set

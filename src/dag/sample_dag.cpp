@@ -59,7 +59,7 @@ std::uint64_t SampleDag::total_edges() const {
 
 Bytes SampleDag::serialize() const {
   ByteWriter w;
-  w.pid(n_);
+  w.process_count(n_);
   for (const auto& chain : chains_) {
     w.uvarint(chain.size());
     for (const Node& node : chain) {
@@ -72,8 +72,8 @@ Bytes SampleDag::serialize() const {
 
 std::optional<SampleDag> SampleDag::deserialize(const Bytes& data) {
   ByteReader r(data);
-  const auto n = r.pid();
-  if (!n || *n < 1) return std::nullopt;
+  const auto n = r.process_count();
+  if (!n) return std::nullopt;
   SampleDag dag(*n);
   for (Pid q = 0; q < *n; ++q) {
     const auto len = r.uvarint();

@@ -47,9 +47,11 @@ class FailurePattern {
 
   [[nodiscard]] bool is_correct(Pid p) const { return !faulty_.contains(p); }
 
-  /// True iff p has not crashed by time t (p may still be faulty later).
+  /// True iff p has not crashed by time t (p may still be faulty later):
+  /// p is not in crashed_at(t), read off p's crash time alone.
   [[nodiscard]] bool alive_at(Pid p, Time t) const {
-    return !crashed_at(t).contains(p);
+    const Time ct = crash_time(p);
+    return ct == kNeverCrashes || ct > t;
   }
 
   [[nodiscard]] Time crash_time(Pid p) const { return crash_times_[static_cast<std::size_t>(p)]; }

@@ -31,7 +31,11 @@ Message MessageBuffer::take(Pid q, std::size_t i) {
   assert(i < pending_for(q));
   auto& queue = queues_[static_cast<std::size_t>(q)];
   Message m = std::move(queue[i]);
-  queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
+  if (i == 0) {
+    queue.pop_front();  // the common FIFO delivery
+  } else {
+    queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(i));
+  }
   --total_;
   return m;
 }

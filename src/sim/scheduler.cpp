@@ -147,6 +147,12 @@ SimResult simulate(const FailurePattern& fp, Oracle& oracle,
   std::int64_t round_index = 0;
   std::vector<Pid> order;
   std::vector<Outgoing> sends;
+  // The step record copies the step's FdValue, whose sets are heap blocks
+  // at n > 64: build it only when something reads it. Reused across steps,
+  // so the copy refills the same blocks.
+  const bool keep_record =
+      opts.record_run || opts.on_step || opts.trace != nullptr;
+  StepRecord rec;
 
   // Lap-based step timer: null collector = one predictable branch per
   // phase boundary; NUCON_DISABLE_PROFILING = no probe code at all.
@@ -202,12 +208,13 @@ SimResult simulate(const FailurePattern& fp, Oracle& oracle,
       const FdValue d = oracle.value(p, now);
       probe.lap(prof::Phase::kOracleSample);
 
-      StepRecord rec;
-      rec.p = p;
-      rec.d = d;
-      rec.t = now;
-      if (msg) rec.received = msg->id;
-      if (opts.record_run) result.run.steps.push_back(rec);
+      if (keep_record) {
+        rec.p = p;
+        rec.d = d;
+        rec.t = now;
+        rec.received = msg ? std::optional<MsgId>(msg->id) : std::nullopt;
+        if (opts.record_run) result.run.steps.push_back(rec);
+      }
 
       ++m_steps;
       NUCON_TRACE(opts.trace, on_step(rec));

@@ -47,6 +47,12 @@ class ByteWriter {
 
   void pid(Pid p) { svarint(p); }
 
+  /// A process count n in 1..kMaxProcesses; same bytes as pid(n).
+  void process_count(Pid n) {
+    assert(n >= 1 && n <= kMaxProcesses);
+    svarint(n);
+  }
+
   /// Legacy single-word form: exactly the <=64-process wire format. Asserts
   /// the set fits; wide sets go through the width-aware overload below.
   void process_set(const ProcessSet& s) { u64(s.mask()); }
@@ -133,6 +139,14 @@ class ByteReader {
   [[nodiscard]] std::optional<Pid> pid() {
     const auto v = svarint();
     if (!v || *v < 0 || *v >= kMaxProcesses) return std::nullopt;
+    return static_cast<Pid>(*v);
+  }
+
+  /// Reads what ByteWriter::process_count wrote. A count runs one past
+  /// the largest pid, so pid() would reject n = kMaxProcesses.
+  [[nodiscard]] std::optional<Pid> process_count() {
+    const auto v = svarint();
+    if (!v || *v < 1 || *v > kMaxProcesses) return std::nullopt;
     return static_cast<Pid>(*v);
   }
 

@@ -6,16 +6,27 @@
 // tests between quorums in quorum histories) are word-wise AND instructions.
 //
 // Storage layout: one inline 64-bit word (`lo_`, pids 0..63) plus an optional
-// heap block (`hi_`) of kHiWords words for pids 64..kMaxProcesses-1. The block
-// has a fixed size, so it never reallocates and a null `hi_` means "all high
-// words are zero". Runs with n <= 64 — every paper experiment — never touch
-// the heap: the fast paths are a single predictable `hi_ == nullptr` test
-// away from the old one-word code. High blocks are recycled through a
-// thread-local free list so per-step transients (quorum copies, scratch sets)
-// do not hit the allocator at n > 64.
+// heap block (`hi_`) for pids 64..kMaxProcesses-1. A null `hi_` means "all
+// high words are zero". Runs with n <= 64 — every paper experiment — never
+// touch the heap: the fast paths are a single predictable `hi_ == nullptr`
+// test away from the old one-word code.
+//
+// A block is kSetWords words. Word 0 holds the block's extent e: only the
+// high words 1..e may be nonzero, and every word past e is zero. Words 1..
+// kHiWords hold the set's words of the same index, so word i of a set is
+// block[i]. Every loop stops at the extent, so a set at n=128 walks one high
+// word, not kHiWords, whatever kMaxProcesses is. The extent is an upper
+// bound: erase and &= may leave zero words below it.
+//
+// Blocks are carved from 64-byte-aligned slabs and recycled through a
+// thread-local free list (slow paths in util/process_set.cpp), so per-step
+// transients (quorum copies, scratch sets) do not hit the allocator at
+// n > 64. A block goes back to the list zeroed, so acquiring one writes
+// nothing.
 #pragma once
 
 #include <cassert>
+#include <algorithm>
 #include <compare>
 #include <cstdint>
 #include <initializer_list>
@@ -33,21 +44,26 @@ inline constexpr Pid kMaxProcesses = 1024;
 
 namespace detail {
 
-/// 64-bit words per set, and per heap block (all but the inline word).
+/// 64-bit words per set, and the high words a heap block can hold (all but
+/// the inline word). A block is kSetWords words: the extent, then the
+/// kHiWords high words.
 inline constexpr int kSetWords = kMaxProcesses / 64;
 inline constexpr int kHiWords = kSetWords - 1;
 
+/// The block a set without one reads through: extent 0, all words zero.
+/// Lets the word loops index both operands without a null test.
+inline constexpr std::uint64_t kZeroBlock[kSetWords] = {};
+
 /// Set once the thread's block pool has been destroyed (thread exit).
 /// Trivially destructible, so it stays readable after TLS teardown and
-/// acquire/release can fall back to plain new/delete.
+/// acquire/release can go to the process-wide depot directly.
 inline thread_local bool g_hi_pool_dead = false;
 
 struct HiBlockPool {
   std::vector<std::uint64_t*> free_list;
-  ~HiBlockPool() {
-    for (std::uint64_t* b : free_list) delete[] b;
-    g_hi_pool_dead = true;
-  }
+  /// Hands the free list to the process-wide depot: blocks live in shared
+  /// slabs and may have been acquired on another thread.
+  ~HiBlockPool();
 };
 
 inline HiBlockPool& hi_pool() {
@@ -55,23 +71,29 @@ inline HiBlockPool& hi_pool() {
   return pool;
 }
 
-/// A zero-filled block of kHiWords words.
+/// Slow paths (util/process_set.cpp): refill this thread's empty free list
+/// from the depot, carving a new slab when the depot is empty too, and
+/// return one block; and hand one block to the depot after thread exit.
+[[nodiscard]] std::uint64_t* hi_acquire_slow();
+void hi_release_to_depot(std::uint64_t* b);
+
+/// An all-zero block (extent 0).
 inline std::uint64_t* hi_acquire() {
   if (!g_hi_pool_dead) {
-    HiBlockPool& pool = hi_pool();
-    if (!pool.free_list.empty()) {
-      std::uint64_t* b = pool.free_list.back();
-      pool.free_list.pop_back();
-      for (int i = 0; i < kHiWords; ++i) b[i] = 0;
+    std::vector<std::uint64_t*>& free_list = hi_pool().free_list;
+    if (!free_list.empty()) {
+      std::uint64_t* b = free_list.back();
+      free_list.pop_back();
       return b;
     }
   }
-  return new std::uint64_t[kHiWords]();
+  return hi_acquire_slow();
 }
 
+/// `b` must be all zero again, extent included.
 inline void hi_release(std::uint64_t* b) {
   if (g_hi_pool_dead) {
-    delete[] b;
+    hi_release_to_depot(b);
     return;
   }
   hi_pool().free_list.push_back(b);
@@ -91,7 +113,7 @@ class ProcessSet {
   constexpr ProcessSet(const ProcessSet& o) : lo_(o.lo_) {
     if (o.hi_ != nullptr) {
       hi_ = alloc_hi();
-      for (int i = 0; i < detail::kHiWords; ++i) hi_[i] = o.hi_[i];
+      assign_hi(o.hi_);
     }
   }
 
@@ -107,7 +129,7 @@ class ProcessSet {
       drop_hi();
     } else {
       if (hi_ == nullptr) hi_ = alloc_hi();
-      for (int i = 0; i < detail::kHiWords; ++i) hi_[i] = o.hi_[i];
+      assign_hi(o.hi_);
     }
     return *this;
   }
@@ -134,11 +156,11 @@ class ProcessSet {
     }
     s.lo_ = ~std::uint64_t{0};
     s.hi_ = s.alloc_hi();
-    const int full_words = n / 64 - 1;  // full high words
-    for (int i = 0; i < full_words; ++i) s.hi_[i] = ~std::uint64_t{0};
-    if (n % 64 != 0) {
-      s.hi_[full_words] = (std::uint64_t{1} << (n % 64)) - 1;
-    }
+    const int last = (n - 1) / 64;  // highest word holding a member
+    for (int i = 1; i < last; ++i) s.hi_[i] = ~std::uint64_t{0};
+    s.hi_[last] = n % 64 == 0 ? ~std::uint64_t{0}
+                              : (std::uint64_t{1} << (n % 64)) - 1;
+    s.hi_[0] = static_cast<std::uint64_t>(last);
     return s;
   }
 
@@ -164,11 +186,10 @@ class ProcessSet {
     return lo_;
   }
 
-  /// Word i of the bitset (pids 64*i .. 64*i+63); zero beyond storage.
+  /// Word i of the bitset (pids 64*i .. 64*i+63); zero beyond the extent.
   [[nodiscard]] constexpr std::uint64_t word(int i) const {
     assert(i >= 0 && i < detail::kSetWords);
-    if (i == 0) return lo_;
-    return hi_ != nullptr ? hi_[i - 1] : 0;
+    return i == 0 ? lo_ : blk()[i];
   }
 
   /// Overwrites word i. Codec use (ByteReader::process_set).
@@ -180,7 +201,8 @@ class ProcessSet {
     }
     if (w == 0 && hi_ == nullptr) return;
     if (hi_ == nullptr) hi_ = alloc_hi();
-    hi_[i - 1] = w;
+    hi_[i] = w;
+    if (w != 0) grow_extent(i);
   }
 
   constexpr void insert(Pid p) {
@@ -190,7 +212,8 @@ class ProcessSet {
       return;
     }
     if (hi_ == nullptr) hi_ = alloc_hi();
-    hi_[p / 64 - 1] |= std::uint64_t{1} << (p % 64);
+    hi_[p / 64] |= std::uint64_t{1} << (p % 64);
+    grow_extent(p / 64);
   }
 
   constexpr void erase(Pid p) {
@@ -199,13 +222,13 @@ class ProcessSet {
       lo_ &= ~(std::uint64_t{1} << p);
       return;
     }
-    if (hi_ != nullptr) hi_[p / 64 - 1] &= ~(std::uint64_t{1} << (p % 64));
+    if (hi_ != nullptr) hi_[p / 64] &= ~(std::uint64_t{1} << (p % 64));
   }
 
   [[nodiscard]] constexpr bool contains(Pid p) const {
     assert(p >= 0 && p < kMaxProcesses);
     if (p < 64) return (lo_ >> p) & 1U;
-    return hi_ != nullptr && ((hi_[p / 64 - 1] >> (p % 64)) & 1U);
+    return (blk()[p / 64] >> (p % 64)) & 1U;
   }
 
   [[nodiscard]] constexpr bool empty() const {
@@ -215,7 +238,7 @@ class ProcessSet {
   [[nodiscard]] constexpr int size() const {
     int count = __builtin_popcountll(lo_);
     if (hi_ != nullptr) {
-      for (int i = 0; i < detail::kHiWords; ++i) {
+      for (int i = 1; i <= extent(hi_); ++i) {
         count += __builtin_popcountll(hi_[i]);
       }
     }
@@ -225,7 +248,8 @@ class ProcessSet {
   [[nodiscard]] constexpr bool intersects(const ProcessSet& o) const {
     if ((lo_ & o.lo_) != 0) return true;
     if (hi_ == nullptr || o.hi_ == nullptr) return false;
-    for (int i = 0; i < detail::kHiWords; ++i) {
+    const int e = std::min(extent(hi_), extent(o.hi_));
+    for (int i = 1; i <= e; ++i) {
       if ((hi_[i] & o.hi_[i]) != 0) return true;
     }
     return false;
@@ -234,8 +258,9 @@ class ProcessSet {
   [[nodiscard]] constexpr bool is_subset_of(const ProcessSet& o) const {
     if ((lo_ & ~o.lo_) != 0) return false;
     if (hi_ == nullptr) return true;
-    for (int i = 0; i < detail::kHiWords; ++i) {
-      if ((hi_[i] & ~o.word(i + 1)) != 0) return false;
+    const std::uint64_t* b = o.blk();
+    for (int i = 1; i <= extent(hi_); ++i) {
+      if ((hi_[i] & ~b[i]) != 0) return false;
     }
     return true;
   }
@@ -244,10 +269,12 @@ class ProcessSet {
     ProcessSet r;
     r.lo_ = lo_ | o.lo_;
     if (hi_ != nullptr || o.hi_ != nullptr) {
+      const std::uint64_t* a = blk();
+      const std::uint64_t* b = o.blk();
+      const int e = std::max(extent(a), extent(b));
       r.hi_ = r.alloc_hi();
-      for (int i = 0; i < detail::kHiWords; ++i) {
-        r.hi_[i] = word(i + 1) | o.word(i + 1);
-      }
+      for (int i = 1; i <= e; ++i) r.hi_[i] = a[i] | b[i];
+      r.hi_[0] = static_cast<std::uint64_t>(e);
     }
     return r;
   }
@@ -255,8 +282,10 @@ class ProcessSet {
     ProcessSet r;
     r.lo_ = lo_ & o.lo_;
     if (hi_ != nullptr && o.hi_ != nullptr) {
+      const int e = std::min(extent(hi_), extent(o.hi_));
       r.hi_ = r.alloc_hi();
-      for (int i = 0; i < detail::kHiWords; ++i) r.hi_[i] = hi_[i] & o.hi_[i];
+      for (int i = 1; i <= e; ++i) r.hi_[i] = hi_[i] & o.hi_[i];
+      r.hi_[0] = static_cast<std::uint64_t>(e);
     }
     return r;
   }
@@ -265,10 +294,11 @@ class ProcessSet {
     ProcessSet r;
     r.lo_ = lo_ & ~o.lo_;
     if (hi_ != nullptr) {
+      const std::uint64_t* b = o.blk();
+      const int e = extent(hi_);
       r.hi_ = r.alloc_hi();
-      for (int i = 0; i < detail::kHiWords; ++i) {
-        r.hi_[i] = hi_[i] & ~o.word(i + 1);
-      }
+      for (int i = 1; i <= e; ++i) r.hi_[i] = hi_[i] & ~b[i];
+      r.hi_[0] = static_cast<std::uint64_t>(e);
     }
     return r;
   }
@@ -276,7 +306,9 @@ class ProcessSet {
     lo_ |= o.lo_;
     if (o.hi_ != nullptr) {
       if (hi_ == nullptr) hi_ = alloc_hi();
-      for (int i = 0; i < detail::kHiWords; ++i) hi_[i] |= o.hi_[i];
+      const int e = extent(o.hi_);
+      for (int i = 1; i <= e; ++i) hi_[i] |= o.hi_[i];
+      grow_extent(e);
     }
     return *this;
   }
@@ -286,7 +318,11 @@ class ProcessSet {
       if (o.hi_ == nullptr) {
         drop_hi();
       } else {
-        for (int i = 0; i < detail::kHiWords; ++i) hi_[i] &= o.hi_[i];
+        // Words of o past its extent are zero, so the loop clears ours
+        // there and the extent can shrink to o's.
+        const int e = extent(hi_);
+        for (int i = 1; i <= e; ++i) hi_[i] &= o.hi_[i];
+        hi_[0] = static_cast<std::uint64_t>(std::min(e, extent(o.hi_)));
       }
     }
     return *this;
@@ -296,10 +332,9 @@ class ProcessSet {
   [[nodiscard]] constexpr Pid min() const {
     assert(!empty());
     if (lo_ != 0) return static_cast<Pid>(__builtin_ctzll(lo_));
-    for (int i = 0; i < detail::kHiWords; ++i) {
-      if (hi_[i] != 0) {
-        return static_cast<Pid>(64 * (i + 1) + __builtin_ctzll(hi_[i]));
-      }
+    const std::uint64_t* a = blk();
+    for (int i = 1; i <= extent(a); ++i) {
+      if (a[i] != 0) return static_cast<Pid>(64 * i + __builtin_ctzll(a[i]));
     }
     return 0;  // unreachable
   }
@@ -308,9 +343,9 @@ class ProcessSet {
   [[nodiscard]] constexpr Pid max() const {
     assert(!empty());
     if (hi_ != nullptr) {
-      for (int i = detail::kHiWords - 1; i >= 0; --i) {
+      for (int i = extent(hi_); i >= 1; --i) {
         if (hi_[i] != 0) {
-          return static_cast<Pid>(64 * (i + 1) + 63 - __builtin_clzll(hi_[i]));
+          return static_cast<Pid>(64 * i + 63 - __builtin_clzll(hi_[i]));
         }
       }
     }
@@ -321,12 +356,12 @@ class ProcessSet {
   /// Word-skipping select keeps Rng::pick O(words) instead of O(members).
   [[nodiscard]] constexpr Pid nth(int k) const {
     assert(k >= 0 && k < size());
-    for (int i = 0; i < detail::kSetWords; ++i) {
-      std::uint64_t w = word(i);
+    const std::uint64_t* a = blk();
+    for (int i = 0; i <= extent(a); ++i) {
+      std::uint64_t w = i == 0 ? lo_ : a[i];
       const int pop = __builtin_popcountll(w);
       if (k >= pop) {
         k -= pop;
-        if (i == 0 && hi_ == nullptr) break;
         continue;
       }
       for (int j = 0; j < k; ++j) w &= w - 1;  // drop the k lowest set bits
@@ -338,8 +373,11 @@ class ProcessSet {
   friend constexpr bool operator==(const ProcessSet& a, const ProcessSet& b) {
     if (a.lo_ != b.lo_) return false;
     if (a.hi_ == nullptr && b.hi_ == nullptr) return true;
-    for (int i = 0; i < detail::kHiWords; ++i) {
-      if (a.word(i + 1) != b.word(i + 1)) return false;
+    const std::uint64_t* x = a.blk();
+    const std::uint64_t* y = b.blk();
+    const int e = std::max(extent(x), extent(y));
+    for (int i = 1; i <= e; ++i) {
+      if (x[i] != y[i]) return false;
     }
     return true;
   }
@@ -349,10 +387,10 @@ class ProcessSet {
   friend constexpr std::strong_ordering operator<=>(const ProcessSet& a,
                                                     const ProcessSet& b) {
     if (a.hi_ != nullptr || b.hi_ != nullptr) {
-      for (int i = detail::kSetWords - 1; i >= 1; --i) {
-        const std::uint64_t aw = a.word(i);
-        const std::uint64_t bw = b.word(i);
-        if (aw != bw) return aw <=> bw;
+      const std::uint64_t* x = a.blk();
+      const std::uint64_t* y = b.blk();
+      for (int i = std::max(extent(x), extent(y)); i >= 1; --i) {
+        if (x[i] != y[i]) return x[i] <=> y[i];
       }
     }
     return a.lo_ <=> b.lo_;
@@ -361,8 +399,9 @@ class ProcessSet {
   /// Iterates over the members in increasing pid order.
   class Iterator {
    public:
-    constexpr Iterator(const ProcessSet* s, int word, std::uint64_t bits)
-        : s_(s), word_(word), bits_(bits) {
+    constexpr Iterator(const std::uint64_t* blk, int last, int word,
+                       std::uint64_t bits)
+        : blk_(blk), last_(last), word_(word), bits_(bits) {
       advance_to_nonempty();
     }
     constexpr Pid operator*() const {
@@ -380,25 +419,26 @@ class ProcessSet {
    private:
     constexpr void advance_to_nonempty() {
       while (bits_ == 0 && word_ < detail::kSetWords) {
-        if (s_->hi_ == nullptr) {
+        if (word_ >= last_) {
           word_ = detail::kSetWords;
           break;
         }
-        ++word_;
-        bits_ = word_ < detail::kSetWords ? s_->word(word_) : 0;
+        bits_ = blk_[++word_];
       }
     }
 
-    const ProcessSet* s_;
+    const std::uint64_t* blk_;
+    int last_;  // the set's extent: no member lies in a later word
     int word_;
     std::uint64_t bits_;
   };
 
   [[nodiscard]] constexpr Iterator begin() const {
-    return Iterator(this, 0, lo_);
+    const std::uint64_t* a = blk();
+    return Iterator(a, extent(a), 0, lo_);
   }
   [[nodiscard]] constexpr Iterator end() const {
-    return Iterator(this, detail::kSetWords, 0);
+    return Iterator(nullptr, 0, detail::kSetWords, 0);
   }
 
   /// Human-readable form, e.g. "{0,2,5}".
@@ -415,17 +455,42 @@ class ProcessSet {
   }
 
  private:
+  /// The heap block, or the shared all-zero block when there is none.
+  [[nodiscard]] constexpr const std::uint64_t* blk() const {
+    return hi_ != nullptr ? hi_ : detail::kZeroBlock;
+  }
+
+  [[nodiscard]] static constexpr int extent(const std::uint64_t* block) {
+    return static_cast<int>(block[0]);
+  }
+
+  /// Raises the extent of the (present) block to cover word i.
+  constexpr void grow_extent(int i) {
+    if (static_cast<std::uint64_t>(i) > hi_[0]) {
+      hi_[0] = static_cast<std::uint64_t>(i);
+    }
+  }
+
   [[nodiscard]] constexpr bool hi_zero() const {
     if (hi_ == nullptr) return true;
-    for (int i = 0; i < detail::kHiWords; ++i) {
+    for (int i = 1; i <= extent(hi_); ++i) {
       if (hi_[i] != 0) return false;
     }
     return true;
   }
 
+  /// Makes the (present) block a copy of `src`, zeroing what lies past
+  /// src's extent up to our old one.
+  constexpr void assign_hi(const std::uint64_t* src) {
+    const int old = extent(hi_);
+    const int e = extent(src);
+    for (int i = 0; i <= e; ++i) hi_[i] = src[i];
+    for (int i = e + 1; i <= old; ++i) hi_[i] = 0;
+  }
+
   [[nodiscard]] static constexpr std::uint64_t* alloc_hi() {
     if (std::is_constant_evaluated()) {
-      return new std::uint64_t[detail::kHiWords]();
+      return new std::uint64_t[detail::kSetWords]();
     }
     return detail::hi_acquire();
   }
@@ -435,6 +500,7 @@ class ProcessSet {
     if (std::is_constant_evaluated()) {
       delete[] hi_;
     } else {
+      for (int i = extent(hi_); i >= 0; --i) hi_[i] = 0;  // back zeroed
       detail::hi_release(hi_);
     }
     hi_ = nullptr;
@@ -443,6 +509,9 @@ class ProcessSet {
   std::uint64_t lo_ = 0;
   std::uint64_t* hi_ = nullptr;
 };
+
+static_assert(sizeof(ProcessSet) == 16,
+              "one inline word plus one block pointer");
 
 /// True when the set holds a strict majority of n processes.
 [[nodiscard]] constexpr bool is_majority(const ProcessSet& s, Pid n) {

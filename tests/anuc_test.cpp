@@ -240,5 +240,119 @@ TEST(Anuc, DecodeMemoKeepsOnlyLiveBroadcasts) {
   EXPECT_LE(Anuc::decode_memo_size(), small_broadcasts);
 }
 
+
+/// A_nuc that, before a step it takes while waiting in kAwaitReports or
+/// kAwaitProposals, moves into a fresh automaton through save_state /
+/// restore_state, so the step runs on rebuilt derived state (the sender
+/// bitmaps, the last-inserted quorum, the imported set). The phase is read
+/// off the last LEAD/REP/PROP the automaton sent (tags 1/2/3 enter
+/// kAwaitLead/kAwaitReports/kAwaitProposals); it restores on every
+/// `stride`-th waiting step.
+class RestoringAnuc final : public ConsensusAutomaton {
+ public:
+  struct Counts {
+    int reports = 0;
+    int proposals = 0;
+  };
+
+  RestoringAnuc(Pid self, Value proposal, Pid n, int stride, Counts& counts)
+      : self_(self), proposal_(proposal), n_(n), stride_(stride),
+        counts_(counts), inner_(std::make_unique<Anuc>(self, proposal, n)) {}
+
+  void step(const Incoming* in, const FdValue& d,
+            std::vector<Outgoing>& out) override {
+    if (phase_ != 0 && waiting_steps_++ % stride_ == 0) {
+      ++(phase_ == 1 ? counts_.reports : counts_.proposals);
+      ByteWriter w;
+      ASSERT_TRUE(inner_->save_state(w));
+      const Bytes state = w.take();
+      ByteReader header(state);
+      (void)header.svarint();  // x
+      (void)header.uvarint();  // round
+      ASSERT_EQ(header.u8(), phase_);
+      auto fresh = std::make_unique<Anuc>(self_, proposal_, n_);
+      ASSERT_TRUE(fresh->restore(state));
+      inner_ = std::move(fresh);
+    }
+    const std::size_t first = out.size();
+    inner_->step(in, d, out);
+    for (std::size_t i = first; i < out.size(); ++i) {
+      const std::uint8_t tag = out[i].payload.get().front();
+      if (tag >= 1 && tag <= 3) phase_ = tag - 1;
+    }
+  }
+
+  [[nodiscard]] std::optional<Value> decision() const override {
+    return inner_->decision();
+  }
+  [[nodiscard]] bool save_state(ByteWriter& w) const override {
+    return inner_->save_state(w);
+  }
+
+ private:
+  Pid self_;
+  Value proposal_;
+  Pid n_;
+  int stride_;
+  Counts& counts_;
+  std::unique_ptr<Anuc> inner_;
+  std::uint8_t phase_ = 0;
+  int waiting_steps_ = 0;
+};
+
+TEST(Anuc, RestoreMidPhaseContinuesIdentically) {
+  for (Pid n : {5, 66}) {
+    FailurePattern fp(n);
+    fp.set_crash(1, 4 * n);
+    std::vector<Value> proposals;
+    for (Pid p = 0; p < n; ++p) proposals.push_back(p % 2);
+    RestoringAnuc::Counts counts;
+    const std::int64_t budget = 40LL * n * n;
+    const auto run = [&](const ConsensusFactory& make) {
+      // Noisy until 6n, then one quorum per process for the rest of the
+      // run, so both sizes decide within the budget.
+      OmegaOracle omega(fp, OmegaOptions{.stabilize_at = 6 * n, .seed = 31});
+      SigmaNuPlusOptions so;
+      so.stabilize_at = 6 * n;
+      so.seed = 32;
+      so.hold = budget;
+      SigmaNuPlusOracle sigma(fp, so);
+      ComposedOracle oracle(omega, sigma);
+      SchedulerOptions opts;
+      opts.seed = 31;
+      opts.max_steps = budget;
+      return simulate_consensus(fp, oracle, make, proposals, opts);
+    };
+    const SimResult plain = run(make_anuc(n));
+    const SimResult restored =
+        run([n, &counts](Pid p, Value v) -> std::unique_ptr<ConsensusAutomaton> {
+          // Every waiting step at n=5; a sample of them at n=66, where one
+          // save_state carries ~n buffered histories.
+          return std::make_unique<RestoringAnuc>(p, v, n, n > 64 ? 64 : 1,
+                                                 counts);
+        });
+    ASSERT_TRUE(all_correct_decided(fp, plain.automata)) << "n=" << n;
+    EXPECT_GT(counts.reports, 0) << "n=" << n;
+    EXPECT_GT(counts.proposals, 0) << "n=" << n;
+
+    EXPECT_EQ(restored.steps_taken, plain.steps_taken);
+    EXPECT_EQ(restored.messages_sent, plain.messages_sent);
+    EXPECT_EQ(restored.bytes_sent, plain.bytes_sent);
+    EXPECT_EQ(restored.metrics, plain.metrics);
+    for (Pid p = 0; p < n; ++p) {
+      const auto i = static_cast<std::size_t>(p);
+      const auto& a = static_cast<const ConsensusAutomaton&>(*plain.automata[i]);
+      const auto& b =
+          static_cast<const ConsensusAutomaton&>(*restored.automata[i]);
+      EXPECT_EQ(a.decision(), b.decision()) << "n=" << n << " p=" << p;
+      ByteWriter wa;
+      ByteWriter wb;
+      ASSERT_TRUE(a.save_state(wa));
+      ASSERT_TRUE(b.save_state(wb));
+      EXPECT_EQ(wa.take(), wb.take()) << "n=" << n << " p=" << p;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nucon

@@ -87,6 +87,26 @@ TEST(Bytes, PidRejectsOutOfRange) {
   EXPECT_FALSE(r2.pid());
 }
 
+TEST(Bytes, ProcessCountCoversOneToMax) {
+  ByteWriter w;
+  w.process_count(1);
+  w.process_count(kMaxProcesses);
+  w.svarint(0);
+  w.svarint(kMaxProcesses + 1);
+  const Bytes buf = w.take();
+  ByteReader r(buf);
+  EXPECT_EQ(r.process_count(), 1);
+  EXPECT_EQ(r.process_count(), kMaxProcesses);
+  EXPECT_FALSE(r.process_count());
+  EXPECT_FALSE(r.process_count());
+  // Same bytes as the pid form, so existing encodings are unchanged.
+  ByteWriter as_pid;
+  as_pid.pid(1);
+  ByteWriter as_count;
+  as_count.process_count(1);
+  EXPECT_EQ(as_pid.take(), as_count.take());
+}
+
 TEST(Bytes, ProcessSetRoundTrip) {
   ByteWriter w;
   const ProcessSet s{0, 5, 63};

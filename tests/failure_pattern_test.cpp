@@ -60,6 +60,25 @@ TEST(FailurePattern, ToStringMentionsCrashes) {
   EXPECT_NE(s.find("2@9"), std::string::npos);
 }
 
+TEST(FailurePattern, AliveAtMatchesCrashedAt) {
+  // alive_at reads p's crash time alone; it must agree with F(t) for every
+  // (p, t), across word boundaries of the process set.
+  for (Pid n : {5, 65, 128}) {
+    Rng rng(static_cast<std::uint64_t>(n));
+    const Environment env{n, n - 1};
+    for (int trial = 0; trial < 8; ++trial) {
+      const FailurePattern fp = env.sample(rng, 40);
+      for (Time t = 0; t <= 42; ++t) {
+        const ProcessSet crashed = fp.crashed_at(t);
+        for (Pid p = 0; p < n; ++p) {
+          ASSERT_EQ(fp.alive_at(p, t), !crashed.contains(p))
+              << fp.to_string() << " p=" << p << " t=" << t;
+        }
+      }
+    }
+  }
+}
+
 TEST(Environment, MajorityCorrectPredicate) {
   EXPECT_TRUE((Environment{5, 2}).majority_correct());
   EXPECT_FALSE((Environment{4, 2}).majority_correct());

@@ -138,6 +138,33 @@ TEST(QuorumHistory, EncodeDecodeRoundTrip) {
   EXPECT_TRUE(r.done());
 }
 
+TEST(QuorumHistory, CodecCoversEveryProcessCount) {
+  // The process count rides as 1..kMaxProcesses, so n = kMaxProcesses
+  // (one past the largest pid) decodes, and 0 and kMaxProcesses+1 do not.
+  QuorumHistory h(kMaxProcesses);
+  h.insert(0, ProcessSet{0, 64, kMaxProcesses - 1});
+  h.insert(kMaxProcesses - 1, ProcessSet::full(kMaxProcesses));
+  ByteWriter w;
+  h.encode(w);
+  const Bytes buf = w.take();
+  ByteReader r(buf);
+  const auto got = QuorumHistory::decode(r);
+  ASSERT_TRUE(got);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(got->n(), kMaxProcesses);
+  EXPECT_EQ(got->size(), 2u);
+  EXPECT_TRUE(got->knows(0, ProcessSet{0, 64, kMaxProcesses - 1}));
+  EXPECT_TRUE(got->knows(kMaxProcesses - 1, ProcessSet::full(kMaxProcesses)));
+
+  for (const std::int64_t bad : {std::int64_t{0}, std::int64_t{kMaxProcesses + 1}}) {
+    ByteWriter bw;
+    bw.svarint(bad);
+    const Bytes bad_buf = bw.take();
+    ByteReader br(bad_buf);
+    EXPECT_FALSE(QuorumHistory::decode(br)) << bad;
+  }
+}
+
 TEST(QuorumHistory, DecodeRejectsTruncated) {
   QuorumHistory h(3);
   h.insert(0, ProcessSet{0});

@@ -105,6 +105,21 @@ TEST(SampleDag, SerializeRoundTrip) {
   EXPECT_EQ(decoded->node(NodeRef{0, 2}).vc, a.node(NodeRef{0, 2}).vc);
 }
 
+TEST(SampleDag, SerializeRoundTripAtEveryProcessCount) {
+  SampleDag a(kMaxProcesses);
+  a.take_sample(kMaxProcesses - 1, q({0, kMaxProcesses - 1}));
+  const auto decoded = SampleDag::deserialize(a.serialize());
+  ASSERT_TRUE(decoded);
+  EXPECT_EQ(decoded->n(), kMaxProcesses);
+  EXPECT_EQ(decoded->node(NodeRef{kMaxProcesses - 1, 1}).d,
+            q({0, kMaxProcesses - 1}));
+  for (const std::int64_t bad : {std::int64_t{0}, std::int64_t{kMaxProcesses + 1}}) {
+    ByteWriter w;
+    w.svarint(bad);
+    EXPECT_FALSE(SampleDag::deserialize(w.take())) << bad;
+  }
+}
+
 TEST(SampleDag, DeserializeRejectsGarbage) {
   EXPECT_FALSE(SampleDag::deserialize(Bytes{}));
   EXPECT_FALSE(SampleDag::deserialize(Bytes{0xFF, 0xFF, 0xFF}));

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "consensus_test_util.hpp"
+#include "core/anuc.hpp"
 #include "fd/scripted.hpp"
 
 namespace nucon {
@@ -195,6 +197,50 @@ TEST(Scheduler, ReplayReproducesFinalStates) {
     EXPECT_EQ(sim.automata[static_cast<std::size_t>(p)]->snapshot(),
               replayed.automata[static_cast<std::size_t>(p)]->snapshot())
         << p;
+  }
+}
+
+TEST(Scheduler, RecordingOffChangesNothingButTheSchedule) {
+  // Without record_run, on_step or a trace the scheduler builds no step
+  // record; everything else about the run must be unchanged.
+  for (Pid n : {5, 128}) {
+    FailurePattern fp(n);
+    fp.set_crash(n - 1, 3 * n);
+    std::vector<Value> proposals;
+    for (Pid p = 0; p < n; ++p) proposals.push_back(p % 3);
+    const std::int64_t budget = 40LL * n * n;
+    const auto run = [&](bool record) {
+      // Post-GST, with one quorum per process for the whole run (the
+      // anuc-wide regime), so n=128 decides within the budget.
+      OmegaOracle omega(fp, OmegaOptions{.stabilize_at = 0, .seed = 4});
+      SigmaNuPlusOptions so;
+      so.stabilize_at = 0;
+      so.seed = 5;
+      so.hold = budget;
+      SigmaNuPlusOracle sigma(fp, so);
+      ComposedOracle oracle(omega, sigma);
+      SchedulerOptions opts = quick(4, budget);
+      opts.record_run = record;
+      return simulate_consensus(fp, oracle, make_anuc(n), proposals, opts);
+    };
+    const SimResult on = run(true);
+    const SimResult off = run(false);
+    ASSERT_TRUE(all_correct_decided(fp, on.automata)) << "n=" << n;
+    EXPECT_EQ(on.run.steps.size(), on.steps_taken);
+    EXPECT_TRUE(off.run.steps.empty());
+    EXPECT_EQ(off.steps_taken, on.steps_taken);
+    EXPECT_EQ(off.end_time, on.end_time);
+    EXPECT_EQ(off.messages_sent, on.messages_sent);
+    EXPECT_EQ(off.bytes_sent, on.bytes_sent);
+    EXPECT_EQ(off.undelivered_at_end, on.undelivered_at_end);
+    EXPECT_EQ(off.metrics, on.metrics);
+    for (Pid p = 0; p < n; ++p) {
+      const auto& a = static_cast<const ConsensusAutomaton&>(
+          *on.automata[static_cast<std::size_t>(p)]);
+      const auto& b = static_cast<const ConsensusAutomaton&>(
+          *off.automata[static_cast<std::size_t>(p)]);
+      EXPECT_EQ(a.decision(), b.decision()) << "n=" << n << " p=" << p;
+    }
   }
 }
 
