@@ -32,17 +32,17 @@
 //    reconciled on revisits, which keeps the reduction sound under state
 //    caching: POR changes how many arrivals are generated, never the set
 //    of configurations reached within the depth bound, so the verdict and
-//    states_explored match the unreduced search. NUCON_MC_NO_POR=1
-//    disables it.
+//    states_explored match the unreduced search. McOptions::use_por
+//    turns it off.
 //
 // Soundness notes:
 //  * a reported violation is real: the witness trace replays
-//    (replay_witness below re-executes it);
+//    (replay_witness below re-executes it through sim/run's replay);
 //  * "no violation" is relative to the depth/state budget, the fixed
 //    detector history, and the automata's save_state being a COMPLETE
-//    state encoding (true for every checkable automaton in this library;
-//    automata without save_state support fall back to the replay-based
-//    baseline engine, whose dedup is best-effort over snapshot());
+//    state encoding (true for every checkable automaton in this library).
+//    Automata without save_state/restore_state and clone cannot be
+//    checked: model_check_consensus rejects them;
 //  * the fd function is called from worker threads and must be pure.
 //
 // The flagship use (see model_checker_test.cpp): the checker
@@ -68,6 +68,9 @@ namespace nucon {
 
 struct McOptions {
   Pid n = 2;
+  /// The automata under check. They must implement the complete-state
+  /// contract (save_state/restore_state) and clone; model_check_consensus
+  /// throws std::invalid_argument otherwise.
   ConsensusFactory make;
   std::vector<Value> proposals;
   /// The fixed failure-detector history: value seen by p at its k-th step
@@ -85,8 +88,7 @@ struct McOptions {
   /// `threads`; the caller keeps ownership). When null and threads > 1 a
   /// pool is created for the call.
   exp::ThreadPool* pool = nullptr;
-  /// Sleep-set partial-order reduction (see file comment). The
-  /// NUCON_MC_NO_POR=1 environment variable forces it off.
+  /// Sleep-set partial-order reduction (see file comment).
   bool use_por = true;
 };
 
@@ -97,8 +99,8 @@ struct McStep {
   /// that configuration, or -1 for lambda.
   int delivery = -1;
   /// The delivered message's identity ({-1, 0} for lambda). Unlike the
-  /// index it is stable across configurations; replay_witness checks it
-  /// and the POR sleep sets are keyed on it.
+  /// index it is stable across configurations; replay_witness delivers by
+  /// it and the POR sleep sets are keyed on it.
   MsgId msg{};
 
   friend bool operator==(const McStep&, const McStep&) = default;
@@ -130,21 +132,18 @@ struct McResult {
   friend bool operator==(const McResult&, const McResult&) = default;
 };
 
+/// Throws std::invalid_argument when opts.make's automata lack
+/// save_state/restore_state or clone.
 [[nodiscard]] McResult model_check_consensus(const McOptions& opts);
 
-/// The pre-overhaul engine, frozen as a baseline: single-threaded DFS that
-/// re-materializes every configuration by replaying the whole path and
-/// dedups on a 64-bit hash of snapshot(). Kept for the bench_model
-/// speedup comparison and for cross-validating verdicts; `threads`,
-/// `pool`, and `use_por` are ignored, and witness deliveries index the
-/// FIFO buffer order rather than the canonical order.
-[[nodiscard]] McResult model_check_consensus_replay_baseline(
-    const McOptions& opts);
-
 /// Re-executes a witness schedule against a fresh initial configuration
-/// (canonical delivery indexing; each step's msg id is verified when set).
+/// by replaying it as a recorded run (sim/run.hpp). Every delivery step
+/// (delivery >= 0) must carry the delivered message's id in `msg`, as
+/// engine witnesses do; the delivery index itself is not consulted.
 /// Returns the agreement violation the final configuration exhibits, or
-/// nullopt when the schedule is inapplicable or ends violation-free.
+/// nullopt when the schedule is inapplicable (a pid out of range, a
+/// delivery without an id or of a message not pending) or ends
+/// violation-free.
 [[nodiscard]] std::optional<std::string> replay_witness(
     const McOptions& opts, const std::vector<McStep>& witness);
 

@@ -40,10 +40,6 @@ class FromScratchConsensus final : public ConsensusAutomaton {
   [[nodiscard]] const MrConsensus& consensus() const { return consensus_; }
 
  private:
-  void step_component(Automaton& component, const Incoming* in,
-                      const FdValue& d, std::uint8_t channel,
-                      std::vector<Outgoing>& out);
-
   OmegaElection omega_;
   SigmaFromMajority sigma_;
   MrConsensus consensus_;

@@ -55,11 +55,6 @@ class StackedNuc final : public ConsensusAutomaton {
     return new StackedNuc(*this);
   }
 
-  /// Runs one sub-automaton step and wraps its sends with `channel`.
-  void step_component(Automaton& component, const Incoming* in,
-                      const FdValue& d, std::uint8_t channel,
-                      std::vector<Outgoing>& out);
-
   SigmaNuToPlus transform_;
   Anuc consensus_;
 

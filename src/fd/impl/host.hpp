@@ -86,11 +86,6 @@ class FdHost final : public ConsensusAutomaton {
   [[nodiscard]] const ConsensusAutomaton& inner() const { return *inner_; }
 
  private:
-  /// Runs one sub-automaton step and wraps its sends with `channel`.
-  void step_component(Automaton& component, const Incoming* in,
-                      const FdValue& d, std::uint8_t channel,
-                      std::vector<Outgoing>& out);
-
   HeartbeatFd hb_;
   std::unique_ptr<ConsensusAutomaton> inner_;
   std::shared_ptr<FdBoard> board_;

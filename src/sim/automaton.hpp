@@ -156,4 +156,32 @@ void reframe_sends(std::vector<Outgoing>& sends, ByteWriter& scratch,
   }
 }
 
+/// Receive side of the channel multiplexers below: the channel byte of
+/// `in` (-1 for lambda or an empty payload), with `inner` set to the rest
+/// of the message, copied into `demux`.
+inline int demux_channel(const Incoming* in, Bytes& demux, Incoming& inner) {
+  if (in == nullptr || in->payload->empty()) return -1;
+  demux.assign(in->payload->begin() + 1, in->payload->end());
+  inner = Incoming{in->from, &demux};
+  return in->payload->front();
+}
+
+/// Helper for channel multiplexers (StackedNuc, FromScratchConsensus,
+/// FdHost): runs one step of `component` and re-emits its sends behind a
+/// one-byte `channel` tag. `component_sends` and `scratch` are the
+/// caller's reusable buffers.
+inline void step_channel(Automaton& component, const Incoming* in,
+                         const FdValue& d, std::uint8_t channel,
+                         std::vector<Outgoing>& component_sends,
+                         ByteWriter& scratch, std::vector<Outgoing>& out) {
+  component_sends.clear();
+  component.step(in, d, component_sends);
+  reframe_sends(component_sends, scratch,
+                [channel](ByteWriter& w, const Bytes& payload) {
+                  w.u8(channel);
+                  w.raw(payload);
+                },
+                out);
+}
+
 }  // namespace nucon

@@ -1,6 +1,6 @@
 #include "sim/run.hpp"
 
-#include <cassert>
+#include "sim/step.hpp"
 
 namespace nucon {
 
@@ -9,8 +9,7 @@ ReplayOutcome replay(const Run& run, Pid n, const AutomatonFactory& make) {
   out.automata.reserve(static_cast<std::size_t>(n));
   for (Pid p = 0; p < n; ++p) out.automata.push_back(make(p));
 
-  std::vector<std::uint64_t> send_seq(static_cast<std::size_t>(n), 0);
-  std::vector<Outgoing> sends;
+  StepKernel kernel(n, out.leftover);
 
   for (std::size_t i = 0; i < run.steps.size(); ++i) {
     const StepRecord& s = run.steps[i];
@@ -39,25 +38,11 @@ ReplayOutcome replay(const Run& run, Pid n, const AutomatonFactory& make) {
       }
     }
 
-    sends.clear();
-    if (msg) {
-      const Incoming in{msg->id.sender, &msg->payload.get(), &msg->payload};
-      out.automata[static_cast<std::size_t>(s.p)]->step(&in, s.d, sends);
-    } else {
-      out.automata[static_cast<std::size_t>(s.p)]->step(nullptr, s.d, sends);
-    }
-
-    for (Outgoing& o : sends) {
-      assert(o.to >= 0 && o.to < n);
-      Message m;
-      m.id = MsgId{s.p, ++send_seq[static_cast<std::size_t>(s.p)]};
-      m.to = o.to;
-      m.sent_at = s.t;
-      m.payload = std::move(o.payload);
-      out.bytes_sent += m.payload.size();
-      ++out.messages_sent;
-      out.leftover.add(std::move(m));
-    }
+    kernel(*out.automata[static_cast<std::size_t>(s.p)], s.p,
+           msg ? &*msg : nullptr, s.d, s.t, [&out](const Message& m) {
+             out.bytes_sent += m.payload.size();
+             ++out.messages_sent;
+           });
   }
 
   out.ok = true;

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "prof/profiler.hpp"
+#include "sim/step.hpp"
 #include "trace/trace_recorder.hpp"
 #include "util/rng.hpp"
 
@@ -135,7 +136,7 @@ SimResult simulate(const FailurePattern& fp, Oracle& oracle,
 
   Rng rng(opts.seed);
   MessageBuffer buffer;
-  std::vector<std::uint64_t> send_seq(static_cast<std::size_t>(n), 0);
+  StepKernel kernel(n, buffer);
 
   const ProcessSet schedulable = opts.restrict_to.empty()
                                      ? ProcessSet::full(n)
@@ -146,7 +147,6 @@ SimResult simulate(const FailurePattern& fp, Oracle& oracle,
   std::int64_t steps_taken = 0;
   std::int64_t round_index = 0;
   std::vector<Pid> order;
-  std::vector<Outgoing> sends;
   // The step record copies the step's FdValue, whose sets are heap blocks
   // at n > 64: build it only when something reads it. Reused across steps,
   // so the copy refills the same blocks.
@@ -230,31 +230,20 @@ SimResult simulate(const FailurePattern& fp, Oracle& oracle,
       }
       probe.lap(prof::Phase::kTraceHook);
 
-      sends.clear();
-      if (msg) {
-        const Incoming in{msg->id.sender, &msg->payload.get(), &msg->payload};
-        result.automata[static_cast<std::size_t>(p)]->step(&in, d, sends);
-      } else {
-        result.automata[static_cast<std::size_t>(p)]->step(nullptr, d, sends);
-      }
+      kernel.step(*result.automata[static_cast<std::size_t>(p)],
+                  msg ? &*msg : nullptr, d);
       probe.lap(prof::Phase::kAutomatonStep);
 
-      for (Outgoing& o : sends) {
-        assert(o.to >= 0 && o.to < n);
-        Message m;
-        m.id = MsgId{p, ++send_seq[static_cast<std::size_t>(p)]};
-        m.to = o.to;
-        m.sent_at = now;
-        m.ready_at =
-            timed ? now + opts.timing.message_delay(p, m.id.seq, o.to) : now;
-        m.payload = std::move(o.payload);  // moves the share, not the bytes
+      kernel.post(p, now, [&](Message& m) {
+        if (timed) {
+          m.ready_at = now + opts.timing.message_delay(p, m.id.seq, m.to);
+        }
         result.bytes_sent += m.payload.size();
         ++result.messages_sent;
         ++m_sends;
         m_payload.add(static_cast<std::int64_t>(m.payload.size()));
         NUCON_TRACE(opts.trace, on_send(p, m));
-        buffer.add(std::move(m));
-      }
+      });
       probe.lap(prof::Phase::kPayloadEncode);
 
 #ifndef NUCON_DISABLE_TRACING
