@@ -490,15 +490,26 @@ TracedRun trace_point(const SweepPoint& pt, trace::TraceRecorder::Options opts) 
   TracedRun out;
   out.stats = run_consensus(setup.fp, setup.oracle.top(), setup.make,
                             setup.proposals, setup.opts);
-  const ConsensusVerdict& v = out.stats.verdict;
-  recorder.annotate(
-      std::string("{\"k\":\"verdict\",\"termination\":") +
-      (v.termination ? "true" : "false") + ",\"validity\":" +
-      (v.validity ? "true" : "false") + ",\"nonuniform_agreement\":" +
-      (v.nonuniform_agreement ? "true" : "false") + ",\"uniform_agreement\":" +
-      (v.uniform_agreement ? "true" : "false") + "}");
+  recorder.end_run(out.stats.verdict);
   out.jsonl = recorder.jsonl();
   return out;
+}
+
+void SweepAggregate::add(const JobOutcome& job) {
+  ++runs;
+  if (!job.stats.all_correct_decided) ++undecided;
+  if (!job.stats.verdict.termination) ++termination_failures;
+  if (!job.stats.verdict.uniform_agreement) ++uniform_violations;
+  if (!job.stats.verdict.nonuniform_agreement) ++nonuniform_violations;
+  if (!job.ok) {
+    ++expectation_failures;
+    failures.push_back(ReplayArtifact{job.point});
+  }
+  if (job.stats.decide_round > 0) decide_rounds.add(job.stats.decide_round);
+  steps.add(static_cast<double>(job.stats.steps));
+  messages.add(static_cast<double>(job.stats.messages_sent));
+  kbytes.add(static_cast<double>(job.stats.bytes_sent) / 1024.0);
+  metrics.merge(job.stats.metrics);
 }
 
 SweepResult SweepRunner::run(const SweepGrid& grid) const {
@@ -542,33 +553,20 @@ SweepResult SweepRunner::run(const std::vector<SweepPoint>& points) const {
   const auto fold_started = std::chrono::steady_clock::now();
   SweepAggregate& agg = result.aggregate;
   for (const JobOutcome& job : result.jobs) {
-    ++agg.runs;
-    if (!job.stats.all_correct_decided) ++agg.undecided;
-    if (!job.stats.verdict.termination) ++agg.termination_failures;
-    if (!job.stats.verdict.uniform_agreement) ++agg.uniform_violations;
-    if (!job.stats.verdict.nonuniform_agreement) ++agg.nonuniform_violations;
-    if (!job.ok) {
-      ++agg.expectation_failures;
-      agg.failures.push_back(ReplayArtifact{job.point});
-      if (!trace_dir_.empty()) {
-        // Serial re-execution with a recorder attached: bit-identical to
-        // the worker's run by the replay guarantee, and performed in the
-        // serial fold, so the written bytes do not depend on thread count.
-        std::filesystem::create_directories(trace_dir_);
-        const std::string path =
-            trace_dir_ + "/failure-" +
-            std::to_string(agg.failures.size() - 1) + ".trace.jsonl";
-        const TracedRun traced = trace_point(job.point);
-        std::ofstream f(path, std::ios::binary | std::ios::trunc);
-        f << traced.jsonl;
-        agg.failure_trace_paths.push_back(path);
-      }
+    agg.add(job);
+    if (!job.ok && !trace_dir_.empty()) {
+      // Serial re-execution with a recorder attached: bit-identical to
+      // the worker's run by the replay guarantee, and performed in the
+      // serial fold, so the written bytes do not depend on thread count.
+      std::filesystem::create_directories(trace_dir_);
+      const std::string path =
+          trace_dir_ + "/failure-" +
+          std::to_string(agg.failures.size() - 1) + ".trace.jsonl";
+      const TracedRun traced = trace_point(job.point);
+      std::ofstream f(path, std::ios::binary | std::ios::trunc);
+      f << traced.jsonl;
+      agg.failure_trace_paths.push_back(path);
     }
-    if (job.stats.decide_round > 0) agg.decide_rounds.add(job.stats.decide_round);
-    agg.steps.add(static_cast<double>(job.stats.steps));
-    agg.messages.add(static_cast<double>(job.stats.messages_sent));
-    agg.kbytes.add(static_cast<double>(job.stats.bytes_sent) / 1024.0);
-    agg.metrics.merge(job.stats.metrics);
     result.profile.merge(job.profile);
   }
   result.fold_seconds = std::chrono::duration<double>(

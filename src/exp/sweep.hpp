@@ -206,6 +206,11 @@ struct SweepAggregate {
   /// When the runner has a trace dir: one JSONL trace path per entry of
   /// `failures`, same order (empty otherwise).
   std::vector<std::string> failure_trace_paths;
+
+  /// Folds one job in: verdict counts, the four accumulators, the metrics
+  /// merge and, for a failed expectation, its replay artifact. Calling it
+  /// in expansion order is what makes the fold thread-count independent.
+  void add(const JobOutcome& job);
 };
 
 struct SweepResult {

@@ -341,12 +341,7 @@ ExecutionResult execute_genome(const Genome& g, const ExecOptions& eopts) {
                     proposals, opts);
 
   const ConsensusVerdict& v = result.stats.verdict;
-  recorder.annotate(
-      std::string("{\"k\":\"verdict\",\"termination\":") +
-      (v.termination ? "true" : "false") + ",\"validity\":" +
-      (v.validity ? "true" : "false") + ",\"nonuniform_agreement\":" +
-      (v.nonuniform_agreement ? "true" : "false") + ",\"uniform_agreement\":" +
-      (v.uniform_agreement ? "true" : "false") + "}");
+  recorder.end_run(v);
   result.trace_jsonl = recorder.jsonl();
 
   std::sort(result.state_keys.begin(), result.state_keys.end());

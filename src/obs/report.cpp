@@ -1,51 +1,26 @@
 #include "obs/report.hpp"
 
 #include <cstdio>
-#include <cstdlib>
+#include <initializer_list>
 #include <sstream>
+
+#include "util/minijson.hpp"
 
 namespace nucon::obs {
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using util::json_escape;
+using util::json_number;
+using util::JsonValue;
 
-/// Shortest round-tripping decimal rendering; deterministic for the
-/// serially folded doubles the report carries.
-std::string double_json(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  // Trim to the shortest representation that still round-trips.
-  for (int prec = 1; prec < 17; ++prec) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof shorter, "%.*g", prec, v);
-    if (std::strtod(shorter, nullptr) == v) return shorter;
+/// A JSON array of strings.
+std::string strings_json(const std::vector<std::string>& items) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out += ",";
+    out += "\"" + json_escape(items[i]) + "\"";
   }
-  return buf;
+  return out + "]";
 }
 
 std::string metrics_json(const trace::MetricsRegistry& metrics) {
@@ -75,18 +50,18 @@ std::string metrics_json(const trace::MetricsRegistry& metrics) {
 std::string profile_section_json(const ProfileSection& p) {
   std::ostringstream os;
   os << "{\"name\":\"" << json_escape(p.name) << "\",\"steps\":" << p.steps
-     << ",\"step_seconds\":" << double_json(p.step_seconds)
-     << ",\"ns_per_step\":" << double_json(p.ns_per_step)
-     << ",\"covered_fraction\":" << double_json(p.covered_fraction)
+     << ",\"step_seconds\":" << json_number(p.step_seconds)
+     << ",\"ns_per_step\":" << json_number(p.ns_per_step)
+     << ",\"covered_fraction\":" << json_number(p.covered_fraction)
      << ",\"phases\":[";
   for (std::size_t i = 0; i < p.phases.size(); ++i) {
     const ProfilePhaseRow& row = p.phases[i];
     if (i > 0) os << ",";
     os << "{\"phase\":\"" << json_escape(row.phase)
        << "\",\"calls\":" << row.calls
-       << ",\"seconds\":" << double_json(row.seconds)
-       << ",\"ns_per_call\":" << double_json(row.ns_per_call)
-       << ",\"share\":" << double_json(row.share) << "}";
+       << ",\"seconds\":" << json_number(row.seconds)
+       << ",\"ns_per_call\":" << json_number(row.ns_per_call)
+       << ",\"share\":" << json_number(row.share) << "}";
   }
   os << "]}";
   return os.str();
@@ -101,10 +76,10 @@ std::string sweep_section_json(const SweepSection& s, bool include_timings) {
      << ",\"uniform_violations\":" << s.uniform_violations
      << ",\"nonuniform_violations\":" << s.nonuniform_violations
      << ",\"expectation_failures\":" << s.expectation_failures
-     << ",\"mean_decide_round\":" << double_json(s.mean_decide_round)
-     << ",\"mean_steps\":" << double_json(s.mean_steps)
-     << ",\"mean_messages\":" << double_json(s.mean_messages)
-     << ",\"mean_kbytes\":" << double_json(s.mean_kbytes) << ","
+     << ",\"mean_decide_round\":" << json_number(s.mean_decide_round)
+     << ",\"mean_steps\":" << json_number(s.mean_steps)
+     << ",\"mean_messages\":" << json_number(s.mean_messages)
+     << ",\"mean_kbytes\":" << json_number(s.mean_kbytes) << ","
      << metrics_json(s.metrics) << ",\"failures\":[";
   for (std::size_t i = 0; i < s.failure_artifacts.size(); ++i) {
     if (i > 0) os << ",";
@@ -116,8 +91,8 @@ std::string sweep_section_json(const SweepSection& s, bool include_timings) {
   }
   os << "]";
   if (include_timings) {
-    os << ",\"wall_seconds\":" << double_json(s.wall_seconds)
-       << ",\"steps_per_second\":" << double_json(s.steps_per_second);
+    os << ",\"wall_seconds\":" << json_number(s.wall_seconds)
+       << ",\"steps_per_second\":" << json_number(s.steps_per_second);
   }
   os << "}";
   return os.str();
@@ -155,33 +130,9 @@ SweepSection section_of(std::string name, std::string spec,
 SweepSection section_of_jobs(std::string name, std::string spec,
                              const std::vector<exp::JobOutcome>& jobs,
                              const std::vector<std::size_t>& indices) {
-  SweepSection s;
-  s.name = std::move(name);
-  s.spec = std::move(spec);
-  Accumulator rounds, steps, messages, kbytes;
-  for (const std::size_t i : indices) {
-    const exp::JobOutcome& job = jobs[i];
-    ++s.runs;
-    if (!job.stats.all_correct_decided) ++s.undecided;
-    if (!job.stats.verdict.termination) ++s.termination_failures;
-    if (!job.stats.verdict.uniform_agreement) ++s.uniform_violations;
-    if (!job.stats.verdict.nonuniform_agreement) ++s.nonuniform_violations;
-    if (!job.ok) {
-      ++s.expectation_failures;
-      s.failure_artifacts.push_back(exp::ReplayArtifact{job.point}.to_string());
-    }
-    if (job.stats.decide_round > 0) rounds.add(job.stats.decide_round);
-    steps.add(static_cast<double>(job.stats.steps));
-    messages.add(static_cast<double>(job.stats.messages_sent));
-    kbytes.add(static_cast<double>(job.stats.bytes_sent) / 1024.0);
-    s.metrics.merge(job.stats.metrics);
-  }
-  s.mean_decide_round = rounds.mean();
-  s.mean_steps = steps.mean();
-  s.mean_messages = messages.mean();
-  s.mean_kbytes = kbytes.mean();
-  s.failure_trace_paths.resize(s.failure_artifacts.size());
-  return s;
+  exp::SweepResult folded;
+  for (const std::size_t i : indices) folded.aggregate.add(jobs[i]);
+  return section_of(std::move(name), std::move(spec), folded);
 }
 
 ProfileSection profile_section_of(std::string name,
@@ -220,20 +171,11 @@ std::string report_json(const BenchReport& report, bool include_timings) {
   for (std::size_t i = 0; i < report.tables.size(); ++i) {
     const TableSection& t = report.tables[i];
     if (i > 0) os << ",";
-    os << "{\"title\":\"" << json_escape(t.title) << "\",\"headers\":[";
-    for (std::size_t j = 0; j < t.headers.size(); ++j) {
-      if (j > 0) os << ",";
-      os << "\"" << json_escape(t.headers[j]) << "\"";
-    }
-    os << "],\"rows\":[";
+    os << "{\"title\":\"" << json_escape(t.title)
+       << "\",\"headers\":" << strings_json(t.headers) << ",\"rows\":[";
     for (std::size_t r = 0; r < t.rows.size(); ++r) {
       if (r > 0) os << ",";
-      os << "[";
-      for (std::size_t j = 0; j < t.rows[r].size(); ++j) {
-        if (j > 0) os << ",";
-        os << "\"" << json_escape(t.rows[r][j]) << "\"";
-      }
-      os << "]";
+      os << strings_json(t.rows[r]);
     }
     os << "]}";
   }
@@ -260,7 +202,7 @@ std::string report_json(const BenchReport& report, bool include_timings) {
     for (const auto& [phase, seconds] : report.timings) {
       if (!first) os << ",";
       first = false;
-      os << "\"" << json_escape(phase) << "\":" << double_json(seconds);
+      os << "\"" << json_escape(phase) << "\":" << json_number(seconds);
     }
     os << "}";
   }
@@ -283,12 +225,12 @@ std::string report_markdown(const BenchReport& report) {
       os << "\n";
     }
   }
+  char buf[64];
+  const auto fmt = [&buf](double v, int prec) {
+    std::snprintf(buf, sizeof buf, "%.*f", prec, v);
+    return std::string(buf);
+  };
   if (!report.profiles.empty()) {
-    char buf[64];
-    const auto fmt = [&buf](double v, int prec) {
-      std::snprintf(buf, sizeof buf, "%.*f", prec, v);
-      return std::string(buf);
-    };
     for (const ProfileSection& p : report.profiles) {
       os << "\n### profile: " << p.name << "\n\n"
          << "steps=" << p.steps << "  ns/step=" << fmt(p.ns_per_step, 1)
@@ -309,11 +251,6 @@ std::string report_markdown(const BenchReport& report) {
           "nonuniform_viol | expect_fail | mean_round | mean_steps | "
           "mean_msgs |\n"
        << "|---|---|---|---|---|---|---|---|---|---|\n";
-    char buf[64];
-    const auto fmt = [&buf](double v, int prec) {
-      std::snprintf(buf, sizeof buf, "%.*f", prec, v);
-      return std::string(buf);
-    };
     for (const SweepSection& s : report.sweeps) {
       os << "| " << s.name << " | " << s.runs << " | " << s.undecided << " | "
          << s.termination_failures << " | " << s.uniform_violations << " | "
@@ -360,232 +297,94 @@ bool write_report_json(const BenchReport& report, const std::string& path) {
 }
 
 // ---------------------------------------------------------------------------
-// Validation: a minimal JSON parser (syntax only, no number semantics
-// beyond strtod) plus structural checks against the schema above.
+// Validation: parse with util::parse_json, then walk the DOM against the
+// schema above.
 
 namespace {
 
-struct JsonCursor {
-  const char* s;
-  const char* end;
-  std::string error;
-
-  void skip_ws() {
-    while (s < end && (*s == ' ' || *s == '\t' || *s == '\n' || *s == '\r')) {
-      ++s;
-    }
-  }
-  bool fail(const std::string& msg) {
-    if (error.empty()) error = msg;
-    return false;
-  }
+struct RequiredKey {
+  const char* name;
+  JsonValue::Kind kind;
 };
 
-bool skip_value(JsonCursor& c);
-
-bool skip_string(JsonCursor& c) {
-  if (c.s >= c.end || *c.s != '"') return c.fail("expected string");
-  ++c.s;
-  while (c.s < c.end && *c.s != '"') {
-    if (*c.s == '\\') {
-      ++c.s;
-      if (c.s >= c.end) break;
+/// The first key of `keys` that `object` lacks or carries with another
+/// kind, as a diagnostic naming `what` (nullopt when all are present).
+std::optional<std::string> missing_key(const JsonValue& object,
+                                       std::initializer_list<RequiredKey> keys,
+                                       const std::string& what) {
+  if (!object.is_object()) return what + " is not an object";
+  for (const RequiredKey& key : keys) {
+    const JsonValue* v = object.find(key.name);
+    if (v == nullptr || v->kind != key.kind) {
+      return what + " missing \"" + key.name + "\"";
     }
-    ++c.s;
   }
-  if (c.s >= c.end) return c.fail("unterminated string");
-  ++c.s;
-  return true;
+  return std::nullopt;
 }
 
-bool skip_object(JsonCursor& c) {
-  ++c.s;  // '{'
-  c.skip_ws();
-  if (c.s < c.end && *c.s == '}') {
-    ++c.s;
-    return true;
-  }
-  while (true) {
-    c.skip_ws();
-    if (!skip_string(c)) return false;
-    c.skip_ws();
-    if (c.s >= c.end || *c.s != ':') return c.fail("expected ':' in object");
-    ++c.s;
-    if (!skip_value(c)) return false;
-    c.skip_ws();
-    if (c.s < c.end && *c.s == ',') {
-      ++c.s;
-      continue;
-    }
-    if (c.s < c.end && *c.s == '}') {
-      ++c.s;
-      return true;
-    }
-    return c.fail("expected ',' or '}' in object");
-  }
-}
-
-bool skip_array(JsonCursor& c) {
-  ++c.s;  // '['
-  c.skip_ws();
-  if (c.s < c.end && *c.s == ']') {
-    ++c.s;
-    return true;
-  }
-  while (true) {
-    if (!skip_value(c)) return false;
-    c.skip_ws();
-    if (c.s < c.end && *c.s == ',') {
-      ++c.s;
-      continue;
-    }
-    if (c.s < c.end && *c.s == ']') {
-      ++c.s;
-      return true;
-    }
-    return c.fail("expected ',' or ']' in array");
-  }
-}
-
-bool skip_value(JsonCursor& c) {
-  c.skip_ws();
-  if (c.s >= c.end) return c.fail("unexpected end of document");
-  switch (*c.s) {
-    case '{':
-      return skip_object(c);
-    case '[':
-      return skip_array(c);
-    case '"':
-      return skip_string(c);
-    case 't':
-      if (c.end - c.s >= 4 && std::string(c.s, 4) == "true") {
-        c.s += 4;
-        return true;
-      }
-      return c.fail("bad literal");
-    case 'f':
-      if (c.end - c.s >= 5 && std::string(c.s, 5) == "false") {
-        c.s += 5;
-        return true;
-      }
-      return c.fail("bad literal");
-    case 'n':
-      if (c.end - c.s >= 4 && std::string(c.s, 4) == "null") {
-        c.s += 4;
-        return true;
-      }
-      return c.fail("bad literal");
-    default: {
-      char* num_end = nullptr;
-      std::strtod(c.s, &num_end);
-      if (num_end == c.s) return c.fail("unexpected character");
-      c.s = num_end;
-      return true;
+/// Checks every section of the array `doc[key]` (absent is fine) for
+/// `keys`; sections are named "<what> <index>" in the diagnostic.
+std::optional<std::string> bad_section(const JsonValue& doc, const char* key,
+                                       const std::string& what,
+                                       std::initializer_list<RequiredKey> keys) {
+  const JsonValue* sections = doc.find(key);
+  if (sections == nullptr) return std::nullopt;
+  if (!sections->is_array()) return std::string("non-array \"") + key + "\"";
+  for (std::size_t i = 0; i < sections->array.size(); ++i) {
+    if (auto problem = missing_key(sections->array[i], keys,
+                                   what + " " + std::to_string(i))) {
+      return problem;
     }
   }
-}
-
-/// The raw text of a top-level field `"name":` in `json` (object values:
-/// the `{...}`/`[...]` span; scalars: the token). Top-level only — does
-/// not recurse into nested objects looking for the key.
-std::optional<std::string> top_level_field(const std::string& json,
-                                           const std::string& name) {
-  JsonCursor c{json.data(), json.data() + json.size(), {}};
-  c.skip_ws();
-  if (c.s >= c.end || *c.s != '{') return std::nullopt;
-  ++c.s;
-  while (true) {
-    c.skip_ws();
-    if (c.s < c.end && *c.s == '}') return std::nullopt;
-    const char* key_begin = c.s;
-    if (!skip_string(c)) return std::nullopt;
-    const std::string key(key_begin + 1, c.s - 1);
-    c.skip_ws();
-    if (c.s >= c.end || *c.s != ':') return std::nullopt;
-    ++c.s;
-    c.skip_ws();
-    const char* value_begin = c.s;
-    if (!skip_value(c)) return std::nullopt;
-    if (key == name) return std::string(value_begin, c.s);
-    c.skip_ws();
-    if (c.s < c.end && *c.s == ',') {
-      ++c.s;
-      continue;
-    }
-    return std::nullopt;
-  }
+  return std::nullopt;
 }
 
 }  // namespace
 
 std::optional<std::string> validate_report_json(const std::string& json) {
-  // 1. The document must be syntactically valid JSON with one value.
-  JsonCursor c{json.data(), json.data() + json.size(), {}};
-  if (!skip_value(c)) return "not valid JSON: " + c.error;
-  c.skip_ws();
-  if (c.s != c.end) return "trailing bytes after the JSON document";
+  util::JsonParseError error;
+  const auto doc = util::parse_json(json, &error);
+  if (!doc) return "not valid JSON: " + error.to_string();
 
-  // 2. Top-level shape: an object with the versioned header. v1 (the
+  // Top-level shape: an object with the versioned header. v1 (the
   // pre-profiling schema) stays readable: the bench/history ledger and
   // archived BENCH_*.json documents predate the "profiles" section.
-  const auto v = top_level_field(json, "v");
-  if (!v) return "missing schema version field \"v\"";
-  if (*v != std::to_string(kReportSchemaVersion) && *v != "1") {
-    return "unsupported report schema version " + *v;
+  using Kind = JsonValue::Kind;
+  if (auto problem = missing_key(*doc,
+                                 {{"v", Kind::kNumber},
+                                  {"name", Kind::kString},
+                                  {"tables", Kind::kArray},
+                                  {"sweeps", Kind::kArray}},
+                                 "report")) {
+    return problem;
   }
-  const auto name = top_level_field(json, "name");
-  if (!name || name->empty() || (*name)[0] != '"') {
-    return "missing or non-string \"name\"";
+  const JsonValue& v = *doc->find("v");
+  if (v.as_int() != kReportSchemaVersion && v.as_int() != 1) {
+    return "unsupported report schema version " + v.string;
   }
-  const auto tables = top_level_field(json, "tables");
-  if (!tables || (*tables)[0] != '[') return "missing or non-array \"tables\"";
-  const auto sweeps = top_level_field(json, "sweeps");
-  if (!sweeps || (*sweeps)[0] != '[') return "missing or non-array \"sweeps\"";
-
-  // 3. Every sweep section must carry the verdict counters and metrics.
-  // Cheap but effective: scan the sweeps array for the required keys per
-  // object (each section object is emitted with all keys).
-  std::size_t pos = 0;
-  std::size_t section = 0;
-  while ((pos = sweeps->find("{\"name\":", pos)) != std::string::npos) {
-    std::size_t next = sweeps->find("{\"name\":", pos + 1);
-    if (next == std::string::npos) next = sweeps->size();
-    const std::string slice = sweeps->substr(pos, next - pos);
-    for (const char* key :
-         {"\"spec\":", "\"runs\":", "\"undecided\":",
-          "\"termination_failures\":", "\"uniform_violations\":",
-          "\"nonuniform_violations\":", "\"expectation_failures\":",
-          "\"counters\":", "\"histograms\":", "\"failures\":"}) {
-      if (slice.find(key) == std::string::npos) {
-        return "sweep section " + std::to_string(section) + " missing " + key;
-      }
-    }
-    ++section;
-    pos = next;
+  // Every sweep section carries the verdict counters and metrics. The v2
+  // "profiles" section is optional; its sections carry the phase
+  // breakdown.
+  if (auto problem = bad_section(*doc, "sweeps", "sweep section",
+                                 {{"name", Kind::kString},
+                                  {"spec", Kind::kString},
+                                  {"runs", Kind::kNumber},
+                                  {"undecided", Kind::kNumber},
+                                  {"termination_failures", Kind::kNumber},
+                                  {"uniform_violations", Kind::kNumber},
+                                  {"nonuniform_violations", Kind::kNumber},
+                                  {"expectation_failures", Kind::kNumber},
+                                  {"counters", Kind::kObject},
+                                  {"histograms", Kind::kObject},
+                                  {"failures", Kind::kArray}})) {
+    return problem;
   }
-
-  // 4. When the v2 "profiles" section is present it must be an array of
-  // sections that each carry the phase-breakdown keys.
-  if (const auto profiles = top_level_field(json, "profiles")) {
-    if ((*profiles)[0] != '[') return "non-array \"profiles\"";
-    std::size_t ppos = 0;
-    std::size_t psection = 0;
-    while ((ppos = profiles->find("{\"name\":", ppos)) != std::string::npos) {
-      std::size_t next = profiles->find("{\"name\":", ppos + 1);
-      if (next == std::string::npos) next = profiles->size();
-      const std::string slice = profiles->substr(ppos, next - ppos);
-      for (const char* key : {"\"steps\":", "\"step_seconds\":",
-                              "\"covered_fraction\":", "\"phases\":"}) {
-        if (slice.find(key) == std::string::npos) {
-          return "profile section " + std::to_string(psection) + " missing " +
-                 key;
-        }
-      }
-      ++psection;
-      ppos = next;
-    }
-  }
-  return std::nullopt;
+  return bad_section(*doc, "profiles", "profile section",
+                     {{"name", Kind::kString},
+                      {"steps", Kind::kNumber},
+                      {"step_seconds", Kind::kNumber},
+                      {"covered_fraction", Kind::kNumber},
+                      {"phases", Kind::kArray}});
 }
 
 }  // namespace nucon::obs

@@ -1,8 +1,6 @@
 #include "prof/profiler.hpp"
 
 #include <chrono>
-#include <cstdio>
-#include <sstream>
 
 #include "trace/metrics.hpp"
 
@@ -98,25 +96,6 @@ double ProfileCollector::covered_fraction() const {
     inner += phases_[static_cast<std::size_t>(i)].ticks;
   }
   return static_cast<double>(inner) / static_cast<double>(envelope);
-}
-
-std::string ProfileCollector::to_string() const {
-  std::ostringstream os;
-  char buf[64];
-  for (int i = 0; i < kPhaseCount; ++i) {
-    const Phase ph = static_cast<Phase>(i);
-    const PhaseStats& s = phase(ph);
-    if (s.calls == 0) continue;
-    const double share =
-        phase(Phase::kStep).ticks > 0
-            ? static_cast<double>(s.ticks) /
-                  static_cast<double>(phase(Phase::kStep).ticks)
-            : 0.0;
-    std::snprintf(buf, sizeof buf, "%.3f ms  %.1f ns/call  %.1f%%",
-                  seconds(ph) * 1e3, ns_per_call(ph), share * 100.0);
-    os << phase_name(ph) << ": calls=" << s.calls << "  " << buf << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace nucon::prof

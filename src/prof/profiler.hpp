@@ -120,9 +120,6 @@ class ProfileCollector {
   /// prof-labeled tests pin >= 0.9 as the acceptance floor.
   [[nodiscard]] double covered_fraction() const;
 
-  /// One line per non-empty phase: name, calls, total ms, ns/call, share.
-  [[nodiscard]] std::string to_string() const;
-
   friend bool operator==(const ProfileCollector&,
                          const ProfileCollector&) = default;
 

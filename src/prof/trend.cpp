@@ -10,46 +10,9 @@
 namespace nucon::prof {
 namespace {
 
+using util::json_escape;
+using util::json_number;
 using util::JsonValue;
-
-/// Shortest round-tripping decimal rendering (report.cpp's discipline).
-std::string double_json(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  for (int prec = 1; prec < 17; ++prec) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof shorter, "%.*g", prec, v);
-    if (std::strtod(shorter, nullptr) == v) return shorter;
-  }
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 bool contains(const std::string& s, const char* needle) {
   return s.find(needle) != std::string::npos;
@@ -67,40 +30,30 @@ std::optional<double> numeric_cell(const std::string& cell) {
 }
 
 void extract_tables(const JsonValue& doc, TrendEntry& out) {
-  const JsonValue* tables = doc.find("tables");
-  if (tables == nullptr || !tables->is_array()) return;
-  for (const JsonValue& table : tables->array) {
+  for (const JsonValue& table : doc.array_at("tables")) {
     const auto title = table.string_at("title");
-    const JsonValue* headers = table.find("headers");
-    const JsonValue* rows = table.find("rows");
-    if (!title || headers == nullptr || !headers->is_array() ||
-        rows == nullptr || !rows->is_array()) {
-      continue;
-    }
-    for (const JsonValue& row : rows->array) {
+    const std::vector<JsonValue>& headers = table.array_at("headers");
+    if (!title) continue;
+    for (const JsonValue& row : table.array_at("rows")) {
       if (!row.is_array() || row.array.empty() ||
           !row.array[0].is_string()) {
         continue;
       }
       const std::string& row_key = row.array[0].string;
-      for (std::size_t j = 1;
-           j < row.array.size() && j < headers->array.size(); ++j) {
-        if (!row.array[j].is_string() || !headers->array[j].is_string()) {
-          continue;
-        }
+      for (std::size_t j = 1; j < row.array.size() && j < headers.size();
+           ++j) {
+        if (!row.array[j].is_string() || !headers[j].is_string()) continue;
         const auto v = numeric_cell(row.array[j].string);
         if (!v) continue;
         out.metrics["table:" + *title + ":" + row_key + ":" +
-                    headers->array[j].string] = *v;
+                    headers[j].string] = *v;
       }
     }
   }
 }
 
 void extract_sweeps(const JsonValue& doc, TrendEntry& out) {
-  const JsonValue* sweeps = doc.find("sweeps");
-  if (sweeps == nullptr || !sweeps->is_array()) return;
-  for (const JsonValue& sweep : sweeps->array) {
+  for (const JsonValue& sweep : doc.array_at("sweeps")) {
     const auto name = sweep.string_at("name");
     if (!name) continue;
     if (const auto sps = sweep.number_at("steps_per_second")) {
@@ -113,9 +66,7 @@ void extract_sweeps(const JsonValue& doc, TrendEntry& out) {
 }
 
 void extract_profiles(const JsonValue& doc, TrendEntry& out) {
-  const JsonValue* profiles = doc.find("profiles");
-  if (profiles == nullptr || !profiles->is_array()) return;
-  for (const JsonValue& profile : profiles->array) {
+  for (const JsonValue& profile : doc.array_at("profiles")) {
     const auto name = profile.string_at("name");
     if (!name) continue;
     if (const auto ns = profile.number_at("ns_per_step")) {
@@ -124,9 +75,7 @@ void extract_profiles(const JsonValue& doc, TrendEntry& out) {
     if (const auto cov = profile.number_at("covered_fraction")) {
       out.metrics["profile:" + *name + ":covered_fraction"] = *cov;
     }
-    const JsonValue* phases = profile.find("phases");
-    if (phases == nullptr || !phases->is_array()) continue;
-    for (const JsonValue& phase : phases->array) {
+    for (const JsonValue& phase : profile.array_at("phases")) {
       const auto pname = phase.string_at("phase");
       const auto ns = phase.number_at("ns_per_call");
       if (!pname || !ns) continue;
@@ -141,6 +90,12 @@ void extract_timings(const JsonValue& doc, TrendEntry& out) {
   for (const auto& [key, value] : timings->members) {
     if (value.is_number()) out.metrics["timing:" + key] = value.number;
   }
+}
+
+/// Stores `why` in `error` (when given); the failed parse's result.
+std::optional<TrendEntry> no_entry(std::string* error, std::string why) {
+  if (error != nullptr) *error = std::move(why);
+  return std::nullopt;
 }
 
 }  // namespace
@@ -179,13 +134,9 @@ std::optional<TrendEntry> extract_trend(const std::string& report_json,
                                         std::string* error) {
   util::JsonParseError parse_error;
   const auto doc = util::parse_json(report_json, &parse_error);
-  if (!doc) {
-    if (error != nullptr) *error = parse_error.to_string();
-    return std::nullopt;
-  }
+  if (!doc) return no_entry(error, parse_error.to_string());
   if (!doc->is_object() || !doc->find("name") || !doc->find("v")) {
-    if (error != nullptr) *error = "not a BENCH report document";
-    return std::nullopt;
+    return no_entry(error, "not a BENCH report document");
   }
   TrendEntry out;
   out.bench = doc->string_at("name").value_or("");
@@ -206,7 +157,7 @@ std::string ledger_line(const TrendEntry& entry) {
   for (const auto& [key, value] : entry.metrics) {
     if (!first) os << ",";
     first = false;
-    os << "\"" << json_escape(key) << "\":" << double_json(value);
+    os << "\"" << json_escape(key) << "\":" << json_number(value);
   }
   os << "}}";
   return os.str();
@@ -216,26 +167,17 @@ std::optional<TrendEntry> parse_ledger_line(const std::string& line,
                                             std::string* error) {
   util::JsonParseError parse_error;
   const auto doc = util::parse_json(line, &parse_error);
-  if (!doc) {
-    if (error != nullptr) *error = parse_error.to_string();
-    return std::nullopt;
-  }
+  if (!doc) return no_entry(error, parse_error.to_string());
   if (!doc->is_object()) {
-    if (error != nullptr) *error = "ledger line is not a JSON object";
-    return std::nullopt;
+    return no_entry(error, "ledger line is not a JSON object");
   }
-  const auto v = doc->number_at("v");
-  if (!v || *v != 1.0) {
-    if (error != nullptr) *error = "unsupported ledger line version";
-    return std::nullopt;
+  if (doc->number_at("v") != 1.0) {
+    return no_entry(error, "unsupported ledger line version");
   }
   const auto bench = doc->string_at("bench");
   const JsonValue* metrics = doc->find("metrics");
   if (!bench || metrics == nullptr || !metrics->is_object()) {
-    if (error != nullptr) {
-      *error = "ledger line missing \"bench\" or \"metrics\"";
-    }
-    return std::nullopt;
+    return no_entry(error, "ledger line missing \"bench\" or \"metrics\"");
   }
   TrendEntry out;
   out.bench = *bench;

@@ -1,67 +1,125 @@
 #include "trace/trace_reader.hpp"
 
-#include <cstdlib>
+#include "trace/trace_recorder.hpp"
 
 namespace nucon::trace {
 namespace {
 
-/// Value of an integer field `"name":123`, or nullopt.
-std::optional<std::int64_t> int_field(const std::string& line,
-                                      const std::string& name) {
-  const std::string key = "\"" + name + "\":";
-  const auto pos = line.find(key);
-  if (pos == std::string::npos) return std::nullopt;
-  return std::strtoll(line.c_str() + pos + key.size(), nullptr, 10);
+using util::JsonValue;
+
+/// A line that breaks the schema; parse_trace reports it with the line
+/// number.
+struct BadLine {
+  std::string message;
+};
+
+std::string quoted(const char* key) { return std::string("\"") + key + "\""; }
+
+/// Integer member `key` of `obj`, `absent` when the key is missing.
+std::int64_t integer(const JsonValue& obj, const char* key,
+                     std::int64_t absent) {
+  const JsonValue* v = obj.find(key);
+  if (v == nullptr) return absent;
+  if (const auto i = v->as_int()) return *i;
+  throw BadLine{quoted(key) + " is not an integer"};
 }
 
-/// Value of a string field `"name":"..."` (no unescaping beyond \" — the
-/// recorder only escapes quotes, backslashes and control characters, none
-/// of which occur in artifact strings).
-std::optional<std::string> string_field(const std::string& line,
-                                        const std::string& name) {
-  const std::string key = "\"" + name + "\":\"";
-  const auto pos = line.find(key);
-  if (pos == std::string::npos) return std::nullopt;
-  std::string out;
-  for (std::size_t i = pos + key.size(); i < line.size(); ++i) {
-    if (line[i] == '\\' && i + 1 < line.size()) {
-      out += line[++i];
-    } else if (line[i] == '"') {
-      return out;
-    } else {
-      out += line[i];
-    }
+Pid pid_of(const JsonValue& v, const char* key, Pid n) {
+  const auto i = v.as_int();
+  if (!i || *i < 0 || *i >= n) {
+    throw BadLine{quoted(key) + " holds a pid outside [0, " +
+                  std::to_string(n) + ")"};
   }
-  return std::nullopt;  // unterminated
+  return static_cast<Pid>(*i);
 }
 
-/// Members of an integer-array field `"name":[1,2,3]`.
-std::optional<ProcessSet> set_field(const std::string& line,
-                                    const std::string& name) {
-  const std::string key = "\"" + name + "\":[";
-  const auto pos = line.find(key);
-  if (pos == std::string::npos) return std::nullopt;
+/// Pid member `key` of `obj`, checked against [0, n); -1 when missing.
+Pid pid(const JsonValue& obj, const char* key, Pid n) {
+  const JsonValue* v = obj.find(key);
+  return v == nullptr ? -1 : pid_of(*v, key, n);
+}
+
+/// Array member `key` of `obj`, empty when missing.
+const std::vector<JsonValue>& array(const JsonValue& obj, const char* key) {
+  const JsonValue* v = obj.find(key);
+  if (v != nullptr && !v->is_array()) {
+    throw BadLine{quoted(key) + " is not an array"};
+  }
+  return obj.array_at(key);
+}
+
+ProcessSet pid_set(const JsonValue& obj, const char* key, Pid n) {
   ProcessSet out;
-  const char* s = line.c_str() + pos + key.size();
-  while (*s != ']' && *s != '\0') {
-    char* end = nullptr;
-    const long v = std::strtol(s, &end, 10);
-    if (end == s) return std::nullopt;
-    out.insert(static_cast<Pid>(v));
-    s = *end == ',' ? end + 1 : end;
-  }
-  return *s == ']' ? std::optional<ProcessSet>(out) : std::nullopt;
+  for (const JsonValue& item : array(obj, key)) out.insert(pid_of(item, key, n));
+  return out;
 }
 
-/// The raw JSON fragment of an object-valued field `"name":{...}`.
-std::optional<std::string> object_field(const std::string& line,
-                                        const std::string& name) {
-  const std::string key = "\"" + name + "\":{";
-  const auto pos = line.find(key);
-  if (pos == std::string::npos) return std::nullopt;
-  const auto end = line.find('}', pos);
-  if (end == std::string::npos) return std::nullopt;
-  return line.substr(pos + key.size() - 1, end - (pos + key.size() - 1) + 1);
+/// An oracle event's `fd` object, rendered back through fd_json: exactly
+/// the text the recorder wrote.
+std::string fd_text(const JsonValue& fd, Pid n) {
+  FdValue d;
+  if (fd.find("leader") != nullptr) d.set_leader(pid(fd, "leader", n));
+  if (fd.find("quorum") != nullptr) d.set_quorum(pid_set(fd, "quorum", n));
+  if (fd.find("suspects") != nullptr) {
+    d.set_suspects(pid_set(fd, "suspects", n));
+  }
+  return fd_json(d);
+}
+
+void read_meta(const JsonValue& obj, ParsedTrace& trace) {
+  // Version gate first: a future schema may change every field below, so
+  // nothing else on the line is trusted before the check. A meta line
+  // without "v" is a pre-versioning trace and reads as version 1, which is
+  // exactly the schema it carries.
+  trace.version = integer(obj, "v", kTraceSchemaVersion);
+  if (trace.version != kTraceSchemaVersion) {
+    throw BadLine{"unsupported trace schema version " +
+                  std::to_string(trace.version) + " (this reader supports " +
+                  std::to_string(kTraceSchemaVersion) + ")"};
+  }
+  if (obj.find("n") == nullptr || obj.find("correct") == nullptr) {
+    throw BadLine{"meta line missing \"n\" or \"correct\""};
+  }
+  const std::int64_t n = integer(obj, "n", 0);
+  if (n < 1 || n > kMaxProcesses) {
+    throw BadLine{"meta \"n\" outside 1.." + std::to_string(kMaxProcesses)};
+  }
+  trace.n = static_cast<Pid>(n);
+  trace.correct = pid_set(obj, "correct", trace.n);
+  for (const JsonValue& crash : array(obj, "crashes")) pid(crash, "p", trace.n);
+  trace.artifact = obj.string_at("artifact").value_or("");
+  trace.expect = obj.string_at("expect").value_or("");
+}
+
+ParsedEvent read_event(const JsonValue& obj, const std::string& kind,
+                       Pid n) {
+  ParsedEvent ev;
+  ev.kind = kind;
+  ev.t = integer(obj, "t", -1);
+  // Every event but the trailing verdict belongs to a process.
+  if (kind != "verdict" && obj.find("p") == nullptr) {
+    throw BadLine{"event without \"p\""};
+  }
+  ev.p = pid(obj, "p", n);
+  // A step carries its trigger as recv:{from,seq}; send and deliver carry
+  // to/from and seq at the top level.
+  const JsonValue* recv = obj.find("recv");
+  const JsonValue& link = recv != nullptr ? *recv : obj;
+  ev.peer = pid(obj, "to", n);
+  if (link.find("from") != nullptr) ev.peer = pid(link, "from", n);
+  ev.seq = integer(link, "seq", -1);
+  ev.bytes = integer(obj, "bytes", -1);
+  ev.delay = integer(obj, "delay", -1);
+  if (obj.find("value") != nullptr) ev.value = integer(obj, "value", 0);
+  if (const JsonValue* hash = obj.find("hash")) {
+    const auto h = hash->as_uint();
+    if (!h) throw BadLine{"\"hash\" is not an unsigned 64-bit integer"};
+    ev.state_hash = *h;
+  }
+  const JsonValue* forced = obj.find("forced");
+  ev.forced = forced != nullptr && forced->boolean;
+  if (const JsonValue* fd = obj.find("fd")) ev.fd = fd_text(*fd, n);
+  return ev;
 }
 
 }  // namespace
@@ -70,76 +128,45 @@ std::optional<ParsedTrace> parse_trace(const std::string& jsonl,
                                        ParseError* error) {
   ParsedTrace trace;
   bool saw_meta = false;
-  const auto fail = [error](std::size_t line_no, std::string message)
-      -> std::optional<ParsedTrace> {
-    if (error) *error = ParseError{std::move(message), line_no};
-    return std::nullopt;
-  };
-
   std::size_t begin = 0;
   std::size_t line_no = 0;
-  while (begin < jsonl.size()) {
-    auto end = jsonl.find('\n', begin);
-    if (end == std::string::npos) end = jsonl.size();
-    const std::string line = jsonl.substr(begin, end - begin);
-    begin = end + 1;
-    ++line_no;
-    if (line.empty()) continue;
+  try {
+    while (begin < jsonl.size()) {
+      auto end = jsonl.find('\n', begin);
+      if (end == std::string::npos) end = jsonl.size();
+      std::string line = jsonl.substr(begin, end - begin);
+      begin = end + 1;
+      ++line_no;
+      if (line.empty()) continue;
 
-    const auto kind = string_field(line, "k");
-    if (!kind) {
-      return fail(line_no, "no \"k\" (event kind) field: " +
-                               (line.size() > 60 ? line.substr(0, 60) + "..."
-                                                 : line));
-    }
-
-    if (*kind == "meta") {
-      // Version gate first: a future schema may change every field below,
-      // so nothing else on the line is trusted before the check. A meta
-      // line without "v" is a pre-versioning (PR 2) trace and reads as
-      // version 1, which is exactly the schema it carries.
-      const std::int64_t v =
-          int_field(line, "v").value_or(kTraceSchemaVersion);
-      if (v != kTraceSchemaVersion) {
-        return fail(line_no, "unsupported trace schema version " +
-                                 std::to_string(v) + " (this reader supports " +
-                                 std::to_string(kTraceSchemaVersion) + ")");
+      util::JsonParseError json_error;
+      const auto doc = util::parse_json(line, &json_error);
+      if (!doc) throw BadLine{"not JSON: " + json_error.message};
+      const auto kind = doc->string_at("k");
+      if (!kind) {
+        throw BadLine{"no \"k\" (event kind) field: " +
+                      (line.size() > 60 ? line.substr(0, 60) + "..." : line)};
       }
-      trace.version = v;
-      const auto n = int_field(line, "n");
-      const auto correct = set_field(line, "correct");
-      if (!n || !correct) {
-        return fail(line_no, "meta line missing \"n\" or \"correct\"");
+      if (*kind == "meta") {
+        if (saw_meta) throw BadLine{"second meta line"};
+        read_meta(*doc, trace);
+        saw_meta = true;
+        continue;
       }
-      trace.n = static_cast<Pid>(*n);
-      trace.correct = *correct;
-      trace.artifact = string_field(line, "artifact").value_or("");
-      trace.expect = string_field(line, "expect").value_or("");
-      saw_meta = true;
-      continue;
+      // The meta line's n bounds every pid after it.
+      if (!saw_meta) throw BadLine{"event before the meta line"};
+      ParsedEvent ev = read_event(*doc, *kind, trace.n);
+      ev.raw = std::move(line);
+      trace.events.push_back(std::move(ev));
     }
-
-    ParsedEvent ev;
-    ev.kind = *kind;
-    ev.raw = line;
-    ev.t = int_field(line, "t").value_or(-1);
-    ev.p = static_cast<Pid>(int_field(line, "p").value_or(-1));
-    if (const auto to = int_field(line, "to")) ev.peer = static_cast<Pid>(*to);
-    if (const auto from = int_field(line, "from")) {
-      ev.peer = static_cast<Pid>(*from);
+    if (!saw_meta) {
+      line_no = 0;
+      throw BadLine{"no meta line in document"};
     }
-    ev.seq = int_field(line, "seq").value_or(-1);
-    ev.bytes = int_field(line, "bytes").value_or(-1);
-    ev.delay = int_field(line, "delay").value_or(-1);
-    ev.forced = line.find("\"forced\":true") != std::string::npos;
-    if (const auto v = int_field(line, "value")) ev.value = *v;
-    ev.state_hash =
-        static_cast<std::uint64_t>(int_field(line, "hash").value_or(0));
-    ev.fd = object_field(line, "fd").value_or("");
-    trace.events.push_back(std::move(ev));
+  } catch (const BadLine& bad) {
+    if (error) *error = ParseError{bad.message, line_no};
+    return std::nullopt;
   }
-
-  if (!saw_meta) return fail(0, "no meta line in document");
   return trace;
 }
 
@@ -158,13 +185,9 @@ DivergenceReport find_divergence(const ParsedTrace& trace) {
   // Oracle events precede the decide of the same step in recorded order,
   // so "last fd seen so far" at the decide event is exactly the FD value
   // the decider sampled at (or last before) its deciding step.
-  std::vector<std::string> last_fd(
-      trace.n > 0 ? static_cast<std::size_t>(trace.n) : 0);
+  std::vector<std::string> last_fd(static_cast<std::size_t>(trace.n));
   const auto fd_of = [&last_fd](Pid p) -> const std::string& {
-    static const std::string empty;
-    return p >= 0 && static_cast<std::size_t>(p) < last_fd.size()
-               ? last_fd[static_cast<std::size_t>(p)]
-               : empty;
+    return last_fd[static_cast<std::size_t>(p)];
   };
 
   const auto conflict = [](const std::vector<Seen>& seen,
@@ -188,8 +211,7 @@ DivergenceReport find_divergence(const ParsedTrace& trace) {
   };
 
   for (const ParsedEvent& ev : trace.events) {
-    if (ev.kind == "oracle" && ev.p >= 0 &&
-        static_cast<std::size_t>(ev.p) < last_fd.size()) {
+    if (ev.kind == "oracle") {
       last_fd[static_cast<std::size_t>(ev.p)] = ev.fd;
       continue;
     }

@@ -8,8 +8,11 @@
 // subject of the paper. tools/trace_dump renders what this header
 // computes.
 //
-// The parser handles exactly the schema the recorder emits (documented in
-// EXPERIMENTS.md); it is not a general JSON parser.
+// Each line is parsed with util/minijson and read against the schema the
+// recorder emits (documented in EXPERIMENTS.md). The meta line comes
+// first; its `n` bounds every pid read after it, so a hand-edited or
+// corrupt trace gets a line-numbered ParseError, never an out-of-range
+// ProcessSet insert.
 #pragma once
 
 #include <optional>
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "sim/failure_pattern.hpp"
+#include "util/minijson.hpp"
 #include "util/process_set.hpp"
 
 namespace nucon::trace {
@@ -29,7 +33,7 @@ inline constexpr std::int64_t kTraceSchemaVersion = 1;
 struct ParsedEvent {
   std::string kind;  // step, oracle, send, deliver, state, decide, verdict
   Time t = -1;
-  Pid p = -1;
+  Pid p = -1;  // in [0, n) on every event but the verdict
   /// send: destination; deliver/step-recv: sender. -1 when absent.
   Pid peer = -1;
   std::int64_t seq = -1;
@@ -38,7 +42,7 @@ struct ParsedEvent {
   bool forced = false;
   std::optional<std::int64_t> value;  // decide
   std::uint64_t state_hash = 0;       // state
-  std::string fd;                     // oracle: raw JSON fragment
+  std::string fd;                     // oracle: the value as fd_json text
   std::string raw;                    // the whole line
 };
 
@@ -58,18 +62,13 @@ struct ParsedTrace {
 /// Why a parse failed: a one-line message plus the 1-based line number of
 /// the offending JSONL line (0 when the document as a whole is at fault,
 /// e.g. no meta line anywhere). The CLI tools print exactly this.
-struct ParseError {
-  std::string message;
-  std::size_t line = 0;
-
-  [[nodiscard]] std::string to_string() const {
-    return line == 0 ? message : "line " + std::to_string(line) + ": " + message;
-  }
-};
+using ParseError = util::JsonParseError;
 
 /// Parses a whole JSONL document. Returns nullopt if the meta line is
-/// missing, the schema version is unknown, or any line is structurally
-/// broken; when `error` is non-null it receives the diagnostic.
+/// missing or not first, the schema version is unknown, `n` lies outside
+/// 1..kMaxProcesses, a pid lies outside [0, n), an event other than the
+/// verdict has no `p`, or any line is not a JSON object of the schema;
+/// when `error` is non-null it receives the diagnostic.
 [[nodiscard]] std::optional<ParsedTrace> parse_trace(const std::string& jsonl,
                                                      ParseError* error = nullptr);
 
@@ -85,7 +84,7 @@ struct Divergence {
   Pid earlier_p = -1;
   std::int64_t earlier_value = 0;
   /// The FD values the two deciders last sampled at (or before) their
-  /// decide steps — raw `fd` JSON fragments, empty when the trace carries
+  /// decide steps — `fd` JSON fragments, empty when the trace carries
   /// no oracle events. The paper's indistinguishability arguments turn on
   /// exactly these: what each decider's detector told it when it decided.
   std::string fd;

@@ -1,36 +1,12 @@
 #include "trace/trace_recorder.hpp"
 
-#include <cstdio>
+#include "check/consensus_checker.hpp"
+#include "util/minijson.hpp"
 
 namespace nucon::trace {
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
+using util::json_escape;
 
 std::string set_json(const ProcessSet& s) {
   std::string out = "[";
@@ -43,7 +19,14 @@ std::string set_json(const ProcessSet& s) {
   return out + "]";
 }
 
-/// FdValue as a JSON object with only the present components.
+/// The fields every per-process event line starts with.
+std::string event_head(const char* kind, Time t, Pid p) {
+  return std::string("{\"k\":\"") + kind + "\",\"t\":" + std::to_string(t) +
+         ",\"p\":" + std::to_string(p);
+}
+
+}  // namespace
+
 std::string fd_json(const FdValue& d) {
   std::string out = "{";
   const char* sep = "";
@@ -63,12 +46,9 @@ std::string fd_json(const FdValue& d) {
   return out + "}";
 }
 
-}  // namespace
-
 void TraceRecorder::line(std::string s) {
   out_ += s;
   out_ += '\n';
-  ++events_;
 }
 
 void TraceRecorder::begin_run(const FailurePattern& fp,
@@ -91,8 +71,7 @@ void TraceRecorder::begin_run(const FailurePattern& fp,
 
 void TraceRecorder::on_step(const StepRecord& rec) {
   if (!opts_.steps) return;
-  std::string s = "{\"k\":\"step\",\"t\":" + std::to_string(rec.t) +
-                  ",\"p\":" + std::to_string(rec.p);
+  std::string s = event_head("step", rec.t, rec.p);
   if (rec.received) {
     s += ",\"recv\":{\"from\":" + std::to_string(rec.received->sender) +
          ",\"seq\":" + std::to_string(rec.received->seq) + "}";
@@ -102,23 +81,20 @@ void TraceRecorder::on_step(const StepRecord& rec) {
 
 void TraceRecorder::on_oracle_query(Pid p, Time t, const FdValue& d) {
   if (!opts_.oracle_queries) return;
-  line("{\"k\":\"oracle\",\"t\":" + std::to_string(t) +
-       ",\"p\":" + std::to_string(p) + ",\"fd\":" + fd_json(d) + "}");
+  line(event_head("oracle", t, p) + ",\"fd\":" + fd_json(d) + "}");
 }
 
 void TraceRecorder::on_send(Pid from, const Message& m) {
   if (!opts_.sends) return;
-  line("{\"k\":\"send\",\"t\":" + std::to_string(m.sent_at) +
-       ",\"p\":" + std::to_string(from) + ",\"to\":" + std::to_string(m.to) +
-       ",\"seq\":" + std::to_string(m.id.seq) +
+  line(event_head("send", m.sent_at, from) + ",\"to\":" +
+       std::to_string(m.to) + ",\"seq\":" + std::to_string(m.id.seq) +
        ",\"bytes\":" + std::to_string(m.payload.size()) + "}");
 }
 
 void TraceRecorder::on_deliver(Pid to, const Message& m, Time now,
                                bool forced) {
   if (!opts_.delivers) return;
-  std::string s = "{\"k\":\"deliver\",\"t\":" + std::to_string(now) +
-                  ",\"p\":" + std::to_string(to) +
+  std::string s = event_head("deliver", now, to) +
                   ",\"from\":" + std::to_string(m.id.sender) +
                   ",\"seq\":" + std::to_string(m.id.seq) +
                   ",\"delay\":" + std::to_string(now - m.sent_at);
@@ -129,29 +105,23 @@ void TraceRecorder::on_deliver(Pid to, const Message& m, Time now,
 void TraceRecorder::on_state_transition(Pid p, Time t,
                                         std::uint64_t state_hash) {
   if (!opts_.state_hashes) return;
-  line("{\"k\":\"state\",\"t\":" + std::to_string(t) +
-       ",\"p\":" + std::to_string(p) +
-       ",\"hash\":" + std::to_string(state_hash) + "}");
+  line(event_head("state", t, p) + ",\"hash\":" + std::to_string(state_hash) +
+       "}");
 }
 
 void TraceRecorder::on_decide(Pid p, Time t, Value value) {
   if (!opts_.decides) return;
-  line("{\"k\":\"decide\",\"t\":" + std::to_string(t) +
-       ",\"p\":" + std::to_string(p) + ",\"value\":" + std::to_string(value) +
+  line(event_head("decide", t, p) + ",\"value\":" + std::to_string(value) +
        "}");
 }
 
-void TraceRecorder::annotate(const std::string& json_object) {
-  line(json_object);
-}
-
-bool TraceRecorder::write_file(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const std::size_t written = std::fwrite(out_.data(), 1, out_.size(), f);
-  const bool ok = written == out_.size() && std::fclose(f) == 0;
-  if (!ok && written != out_.size()) std::fclose(f);
-  return ok;
+void TraceRecorder::end_run(const ConsensusVerdict& v) {
+  line(std::string("{\"k\":\"verdict\",\"termination\":") +
+       (v.termination ? "true" : "false") + ",\"validity\":" +
+       (v.validity ? "true" : "false") + ",\"nonuniform_agreement\":" +
+       (v.nonuniform_agreement ? "true" : "false") +
+       ",\"uniform_agreement\":" + (v.uniform_agreement ? "true" : "false") +
+       "}");
 }
 
 std::uint64_t state_hash_of(const Bytes& snapshot) {

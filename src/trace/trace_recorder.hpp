@@ -14,14 +14,19 @@
 // -DNUCON_DISABLE_TRACING (CMake option NUCON_DISABLE_TRACING). Runs
 // without a recorder attached therefore pay near zero.
 //
-// The line format is parsed back by trace_reader.hpp and rendered by
-// tools/trace_dump; the schema is documented in EXPERIMENTS.md.
+// Lines are built with util/minijson's json_escape, parsed back by
+// trace_reader.hpp and rendered by tools/trace_dump; the schema is
+// documented in EXPERIMENTS.md.
 #pragma once
 
 #include <string>
 
 #include "sim/message.hpp"
 #include "sim/run.hpp"
+
+namespace nucon {
+struct ConsensusVerdict;
+}  // namespace nucon
 
 namespace nucon::trace {
 
@@ -70,24 +75,22 @@ class TraceRecorder {
   void on_state_transition(Pid p, Time t, std::uint64_t state_hash);
   void on_decide(Pid p, Time t, Value value);
 
-  /// Appends one raw JSONL line (used for the trailing verdict record).
-  /// `json_object` must be a complete JSON object without the newline.
-  void annotate(const std::string& json_object);
+  /// Emits the trailing verdict line: the harness's final verdict.
+  void end_run(const ConsensusVerdict& verdict);
 
   /// The JSONL document so far (one event per line, meta line first).
   [[nodiscard]] const std::string& jsonl() const { return out_; }
-  [[nodiscard]] std::int64_t event_count() const { return events_; }
-
-  /// Writes jsonl() to `path`; returns false on I/O failure.
-  [[nodiscard]] bool write_file(const std::string& path) const;
 
  private:
   void line(std::string s);
 
   Options opts_;
   std::string out_;
-  std::int64_t events_ = 0;
 };
+
+/// FdValue as a JSON object with only the present components, e.g.
+/// `{"leader":2,"quorum":[0,2]}`: the `fd` field of oracle events.
+[[nodiscard]] std::string fd_json(const FdValue& d);
 
 /// FNV-1a over an automaton snapshot, the state fingerprint carried by
 /// state-transition events.

@@ -1,6 +1,9 @@
 #include "util/minijson.hpp"
 
+#include <charconv>
+#include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 namespace nucon::util {
 namespace {
@@ -10,6 +13,7 @@ struct Parser {
   const char* begin;
   const char* end;
   JsonParseError* error;
+  int depth = 0;
 
   [[nodiscard]] std::size_t line_of(const char* at) const {
     std::size_t line = 1;
@@ -94,15 +98,34 @@ struct Parser {
     return true;
   }
 
-  bool parse_object(JsonValue& out) {
-    out.kind = JsonValue::Kind::kObject;
-    ++s;  // '{'
+  /// The comma-separated items of an array or object, from the opening
+  /// bracket at `s` through `close`; `item` parses one.
+  template <typename Item>
+  bool sequence(char close, const char* what, Item item) {
+    ++s;  // opening bracket
     skip_ws();
-    if (s < end && *s == '}') {
+    if (s < end && *s == close) {
       ++s;
       return true;
     }
     while (true) {
+      if (!item()) return false;
+      skip_ws();
+      if (s < end && *s == ',') {
+        ++s;
+        continue;
+      }
+      if (s < end && *s == close) {
+        ++s;
+        return true;
+      }
+      return fail(std::string("expected ',' or '") + close + "' in " + what);
+    }
+  }
+
+  bool parse_object(JsonValue& out) {
+    out.kind = JsonValue::Kind::kObject;
+    return sequence('}', "object", [this, &out] {
       skip_ws();
       std::string key;
       if (!parse_string(key)) return false;
@@ -112,42 +135,31 @@ struct Parser {
       JsonValue value;
       if (!parse_value(value)) return false;
       out.members.emplace_back(std::move(key), std::move(value));
-      skip_ws();
-      if (s < end && *s == ',') {
-        ++s;
-        continue;
-      }
-      if (s < end && *s == '}') {
-        ++s;
-        return true;
-      }
-      return fail("expected ',' or '}' in object");
-    }
+      return true;
+    });
   }
 
   bool parse_array(JsonValue& out) {
     out.kind = JsonValue::Kind::kArray;
-    ++s;  // '['
-    skip_ws();
-    if (s < end && *s == ']') {
-      ++s;
-      return true;
-    }
-    while (true) {
+    return sequence(']', "array", [this, &out] {
       JsonValue value;
       if (!parse_value(value)) return false;
       out.array.push_back(std::move(value));
-      skip_ws();
-      if (s < end && *s == ',') {
-        ++s;
-        continue;
-      }
-      if (s < end && *s == ']') {
-        ++s;
-        return true;
-      }
-      return fail("expected ',' or ']' in array");
+      return true;
+    });
+  }
+
+  /// One of true/false/null.
+  bool literal(std::string_view word, JsonValue& out,
+               JsonValue::Kind kind, bool boolean) {
+    if (static_cast<std::size_t>(end - s) < word.size() ||
+        word.compare(0, word.size(), s, word.size()) != 0) {
+      return fail("bad literal");
     }
+    out.kind = kind;
+    out.boolean = boolean;
+    s += word.size();
+    return true;
   }
 };
 
@@ -156,48 +168,58 @@ bool Parser::parse_value(JsonValue& out) {
   if (s >= end) return fail("unexpected end of document");
   switch (*s) {
     case '{':
-      return parse_object(out);
-    case '[':
-      return parse_array(out);
+    case '[': {
+      if (depth == kMaxJsonDepth) {
+        return fail("nesting deeper than " + std::to_string(kMaxJsonDepth) +
+                    " levels");
+      }
+      ++depth;
+      const bool ok = *s == '{' ? parse_object(out) : parse_array(out);
+      --depth;
+      return ok;
+    }
     case '"':
       out.kind = JsonValue::Kind::kString;
       return parse_string(out.string);
     case 't':
-      if (end - s >= 4 && std::string(s, 4) == "true") {
-        out.kind = JsonValue::Kind::kBool;
-        out.boolean = true;
-        s += 4;
-        return true;
-      }
-      return fail("bad literal");
+      return literal("true", out, JsonValue::Kind::kBool, true);
     case 'f':
-      if (end - s >= 5 && std::string(s, 5) == "false") {
-        out.kind = JsonValue::Kind::kBool;
-        out.boolean = false;
-        s += 5;
-        return true;
-      }
-      return fail("bad literal");
+      return literal("false", out, JsonValue::Kind::kBool, false);
     case 'n':
-      if (end - s >= 4 && std::string(s, 4) == "null") {
-        out.kind = JsonValue::Kind::kNull;
-        s += 4;
-        return true;
-      }
-      return fail("bad literal");
+      return literal("null", out, JsonValue::Kind::kNull, false);
     default: {
       char* num_end = nullptr;
       const double v = std::strtod(s, &num_end);
       if (num_end == s) return fail("unexpected character");
       out.kind = JsonValue::Kind::kNumber;
       out.number = v;
+      out.string.assign(s, static_cast<std::size_t>(num_end - s));
       s = num_end;
       return true;
     }
   }
 }
 
+template <typename Int>
+std::optional<Int> exact_integer(const JsonValue& v) {
+  if (!v.is_number()) return std::nullopt;
+  const char* first = v.string.data();
+  const char* last = first + v.string.size();
+  Int out{};
+  const auto [ptr, ec] = std::from_chars(first, last, out);
+  if (ec != std::errc() || ptr != last) return std::nullopt;
+  return out;
+}
+
 }  // namespace
+
+std::optional<std::int64_t> JsonValue::as_int() const {
+  return exact_integer<std::int64_t>(*this);
+}
+
+std::optional<std::uint64_t> JsonValue::as_uint() const {
+  return exact_integer<std::uint64_t>(*this);
+}
 
 const JsonValue* JsonValue::find(const std::string& key) const {
   if (!is_object()) return nullptr;
@@ -219,6 +241,13 @@ std::optional<std::string> JsonValue::string_at(const std::string& key) const {
   return v->string;
 }
 
+const std::vector<JsonValue>& JsonValue::array_at(
+    const std::string& key) const {
+  static const std::vector<JsonValue> kNone;
+  const JsonValue* v = find(key);
+  return v != nullptr && v->is_array() ? v->array : kNone;
+}
+
 std::optional<JsonValue> parse_json(const std::string& text,
                                     JsonParseError* error) {
   Parser p{text.data(), text.data(), text.data() + text.size(), error};
@@ -230,6 +259,44 @@ std::optional<JsonValue> parse_json(const std::string& text,
     return std::nullopt;
   }
   return out;
+}
+
+std::string json_escape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
+
+std::string json_number(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  for (int prec = 1; prec < 17; ++prec) {
+    char shorter[32];
+    std::snprintf(shorter, sizeof shorter, "%.*g", prec, v);
+    if (std::strtod(shorter, nullptr) == v) return shorter;
+  }
+  return buf;
 }
 
 }  // namespace nucon::util

@@ -175,6 +175,22 @@ TEST(ObsReportTest, ValidatorRejectsBrokenDocuments) {
   EXPECT_TRUE(
       obs::validate_report_json("{\"v\":1,\"tables\":[],\"sweeps\":[]}")
           .has_value());
+  // Sections are checked per element: a sweep missing one counter, or a
+  // profile that is not an object, is named in the diagnostic.
+  const auto missing = obs::validate_report_json(
+      "{\"v\":2,\"name\":\"x\",\"tables\":[],\"sweeps\":[{\"name\":\"s\","
+      "\"spec\":\"\",\"runs\":1}]}");
+  ASSERT_TRUE(missing.has_value());
+  EXPECT_NE(missing->find("sweep section 0 missing \"undecided\""),
+            std::string::npos)
+      << *missing;
+  EXPECT_TRUE(obs::validate_report_json("{\"v\":2,\"name\":\"x\",\"tables\":[],"
+                                        "\"sweeps\":[],\"profiles\":[7]}")
+                  .has_value());
+  // Hostile nesting gets a diagnostic, not a stack overflow.
+  const auto deep = obs::validate_report_json(std::string(2'000'000, '['));
+  ASSERT_TRUE(deep.has_value());
+  EXPECT_NE(deep->find("nesting"), std::string::npos) << *deep;
   // A minimal conforming document passes.
   obs::BenchReport empty;
   empty.name = "empty";

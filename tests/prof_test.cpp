@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -390,6 +391,58 @@ TEST(Minijson, ReportsLineNumbers) {
   EXPECT_TRUE(doc->find("b")->find("c")->boolean);
   // Trailing bytes after the document are a parse error, not silence.
   EXPECT_FALSE(util::parse_json("{} trailing", &error).has_value());
+}
+
+TEST(Minijson, NestingDepthIsBounded) {
+  util::JsonParseError error;
+  const std::string deep(2'000'000, '[');
+  EXPECT_FALSE(util::parse_json(deep, &error).has_value());
+  EXPECT_NE(error.message.find("nesting"), std::string::npos)
+      << error.to_string();
+  EXPECT_EQ(error.line, 1u);
+
+  const std::string at_limit = std::string(util::kMaxJsonDepth, '[') +
+                               std::string(util::kMaxJsonDepth, ']');
+  EXPECT_TRUE(util::parse_json(at_limit, &error).has_value());
+  EXPECT_FALSE(util::parse_json("[" + at_limit + "]", &error).has_value());
+  EXPECT_FALSE(util::parse_json("{\"a\":" + at_limit + "}", &error).has_value());
+}
+
+TEST(Minijson, IntegersReadBackExactly) {
+  const auto doc = util::parse_json(
+      "[18000000000000000000, -9223372036854775808, 9223372036854775808, "
+      "1.5, 1e3, 7]",
+      nullptr);
+  ASSERT_TRUE(doc.has_value());
+  const std::vector<util::JsonValue>& a = doc->array;
+  EXPECT_EQ(a[0].as_uint(), std::uint64_t{18000000000000000000ULL});
+  EXPECT_EQ(a[0].as_int(), std::nullopt);  // out of range, not clamped
+  EXPECT_EQ(a[1].as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(a[1].as_uint(), std::nullopt);
+  EXPECT_EQ(a[2].as_int(), std::nullopt);
+  EXPECT_EQ(a[3].as_int(), std::nullopt);
+  EXPECT_EQ(a[4].as_int(), std::nullopt);
+  EXPECT_DOUBLE_EQ(a[4].number, 1000.0);
+  EXPECT_EQ(a[5].as_int(), 7);
+  EXPECT_EQ(a[5].as_uint(), 7u);
+}
+
+TEST(Minijson, EmittersRoundTrip) {
+  const std::string raw = std::string("q\"b\\n\nc\x01") + "\t";
+  const auto doc =
+      util::parse_json("\"" + util::json_escape(raw) + "\"", nullptr);
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->string, raw);
+  EXPECT_EQ(util::json_escape(raw), "q\\\"b\\\\n\\nc\\u0001\\u0009");
+
+  EXPECT_EQ(util::json_number(0.1), "0.1");
+  EXPECT_EQ(util::json_number(2.0), "2");
+  EXPECT_EQ(util::json_number(123456.75), "123456.75");
+  for (const double v : {1.0 / 3.0, 1e-300, 6.02214076e23, -0.0}) {
+    const auto back = util::parse_json(util::json_number(v), nullptr);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(back->number, v);
+  }
 }
 
 #ifdef NUCON_BENCH_BIN

@@ -114,5 +114,55 @@ TEST(TraceGoldenTest, ParseErrorsCarryLineNumbers) {
   EXPECT_FALSE(error.to_string().empty());
 }
 
+TEST(TraceGoldenTest, ParseRejectsOutOfRangeProcessIdsWithLineNumbers) {
+  // Every pid the reader stores ends up in a ProcessSet or indexes a
+  // per-process table, so n and each pid are range-checked on the line
+  // that carries them.
+  const std::string meta = "{\"k\":\"meta\",\"v\":1,\"n\":3,\"correct\":[0,1]}\n";
+  struct Case {
+    const char* what;
+    std::string jsonl;
+    std::size_t line;
+  };
+  const Case cases[] = {
+      {"n = 0", "{\"k\":\"meta\",\"n\":0,\"correct\":[]}\n", 1},
+      {"n above kMaxProcesses",
+       "{\"k\":\"meta\",\"n\":5000,\"correct\":[0]}\n", 1},
+      {"negative correct pid", "{\"k\":\"meta\",\"n\":3,\"correct\":[-3]}\n",
+       1},
+      {"correct pid >= n", "{\"k\":\"meta\",\"n\":3,\"correct\":[0,5000]}\n",
+       1},
+      {"crash pid >= n",
+       "{\"k\":\"meta\",\"n\":3,\"correct\":[0,1],\"crashes\":[{\"p\":3,"
+       "\"at\":10}]}\n",
+       1},
+      {"event p >= n", meta + "{\"k\":\"decide\",\"t\":4,\"p\":7,\"value\":1}\n",
+       2},
+      {"event p < 0", meta + "{\"k\":\"decide\",\"t\":4,\"p\":-1,\"value\":1}\n",
+       2},
+      {"send to >= n",
+       meta + "{\"k\":\"send\",\"t\":1,\"p\":0,\"to\":9,\"seq\":1,\"bytes\":4}\n",
+       2},
+      {"deliver from >= n",
+       meta + "{\"k\":\"step\",\"t\":1,\"p\":0}\n"
+              "{\"k\":\"deliver\",\"t\":2,\"p\":1,\"from\":3,\"seq\":1,"
+              "\"delay\":1}\n",
+       3},
+      {"step recv.from >= n",
+       meta + "{\"k\":\"step\",\"t\":1,\"p\":0,\"recv\":{\"from\":4,\"seq\":1}}\n",
+       2},
+      {"pid beyond int64", meta + "{\"k\":\"step\",\"t\":1,\"p\":99999999999999999999}\n",
+       2},
+      {"decide without p", meta + "{\"k\":\"decide\",\"t\":4,\"value\":1}\n", 2},
+      {"event before meta", "{\"k\":\"step\",\"t\":1,\"p\":0}\n" + meta, 1},
+  };
+  for (const Case& c : cases) {
+    trace::ParseError error;
+    EXPECT_FALSE(trace::parse_trace(c.jsonl, &error).has_value()) << c.what;
+    EXPECT_EQ(error.line, c.line) << c.what << ": " << error.to_string();
+    EXPECT_FALSE(error.message.empty()) << c.what;
+  }
+}
+
 }  // namespace
 }  // namespace nucon

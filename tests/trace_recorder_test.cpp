@@ -10,6 +10,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -200,6 +201,28 @@ TEST(TraceRecorderTest, StateHashesAreOffByDefaultAndDeterministicWhenOn) {
   };
   EXPECT_GT(count_states(*with), 0);
   EXPECT_EQ(count_states(*without), 0);
+}
+
+TEST(TraceRecorderTest, StateHashesRoundTripExactlyThroughTheReader) {
+  // FNV-1a values are uniform over 64 bits, so about half of them exceed
+  // INT64_MAX; each must read back as the exact value the recorder wrote.
+  trace::TraceRecorder::Options opts;
+  opts.state_hashes = true;
+  const auto parsed = trace::parse_trace(exp::trace_point(quick_point(), opts).jsonl);
+  ASSERT_TRUE(parsed.has_value());
+  int states = 0;
+  int above_int64 = 0;
+  for (const trace::ParsedEvent& ev : parsed->events) {
+    if (ev.kind != "state") continue;
+    ++states;
+    above_int64 += ev.state_hash > static_cast<std::uint64_t>(
+        std::numeric_limits<std::int64_t>::max());
+    trace::TraceRecorder again(opts);
+    again.on_state_transition(ev.p, ev.t, ev.state_hash);
+    EXPECT_EQ(again.jsonl(), ev.raw + "\n");
+  }
+  EXPECT_GT(states, 0);
+  EXPECT_GT(above_int64, 0);
 }
 
 TEST(TraceRecorderTest, ParseRejectsTracesWithoutMetaLine) {

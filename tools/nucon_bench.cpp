@@ -7,7 +7,8 @@
 //       one JSONL entry per report to <history>/ledger.jsonl.
 //   nucon_bench diff A.json B.json [--tolerance 0.25]
 //       compare two reports metric by metric; exit 0 when B holds the
-//       line, 1 when any directional metric regressed past tolerance.
+//       line, 1 when any directional metric regressed past tolerance or
+//       a report fails validation.
 //   nucon_bench check --history bench/history [--informational]
 //       for every (bench, machine) series in the ledger, diff the last
 //       two entries; --informational reports but always exits 0.
@@ -32,6 +33,7 @@
 
 #include "obs/report.hpp"
 #include "prof/trend.hpp"
+#include "util/minijson.hpp"
 
 using namespace nucon;
 
@@ -57,13 +59,18 @@ std::optional<std::string> read_file(const std::string& path) {
   return buf.str();
 }
 
-/// Loads + validates + flattens one BENCH report, or explains why not.
-std::optional<prof::TrendEntry> load_report(const std::string& path) {
+/// Loads + validates + flattens one BENCH report, or explains why not;
+/// `exit_code`, when given, receives 2 for an unreadable file and 1 for an
+/// invalid report.
+std::optional<prof::TrendEntry> load_report(const std::string& path,
+                                            int* exit_code = nullptr) {
   const auto text = read_file(path);
   if (!text) {
     std::fprintf(stderr, "nucon_bench: cannot open %s\n", path.c_str());
+    if (exit_code != nullptr) *exit_code = 2;
     return std::nullopt;
   }
+  if (exit_code != nullptr) *exit_code = 1;
   if (const auto problem = obs::validate_report_json(*text)) {
     std::fprintf(stderr, "nucon_bench: %s: invalid report: %s\n",
                  path.c_str(), problem->c_str());
@@ -203,10 +210,11 @@ std::map<std::string, double> scaling_guard_overrides(
 
 int cmd_diff(const CommonFlags& flags) {
   if (flags.files.size() != 2) return usage();
-  const auto before = load_report(flags.files[0]);
-  if (!before) return 2;
-  const auto after = load_report(flags.files[1]);
-  if (!after) return 2;
+  int failed = 0;
+  const auto before = load_report(flags.files[0], &failed);
+  if (!before) return failed;
+  const auto after = load_report(flags.files[1], &failed);
+  if (!after) return failed;
   const prof::TrendDiff diff =
       prof::diff_trends(*before, *after, flags.tolerance,
                         scaling_guard_overrides(*before, *after,
@@ -282,8 +290,9 @@ int cmd_manifest(const CommonFlags& flags) {
     }
     if (i > 0) os << ",";
     os << "{\"file\":\""
-       << std::filesystem::path(path).filename().string() << "\",\"bench\":\""
-       << entry->bench << "\",\"metrics\":" << entry->metrics.size() << "}";
+       << util::json_escape(std::filesystem::path(path).filename().string())
+       << "\",\"bench\":\"" << util::json_escape(entry->bench)
+       << "\",\"metrics\":" << entry->metrics.size() << "}";
     std::printf("ok %s (%zu trend metrics)\n", path.c_str(),
                 entry->metrics.size());
   }
